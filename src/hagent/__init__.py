@@ -33,6 +33,7 @@ from hagent.model import (
     SubProcess,
     Task,
     TrustScore,
+    analyze_regions,
     find_merge_for,
     mk_trust_score,
     region_roles,

@@ -88,13 +88,8 @@ def _colorize(text: str) -> str:
     return "\n".join(out)
 
 
-def _load_model(path: str):
-    result = parse_model(_read(path))
-    return result
-
-
 def cmd_validate(args) -> int:
-    result = _load_model(args.input)
+    result = parse_model(_read(args.input))
     diagnostics = list(result.diagnostics)
     if result.model is not None:
         diagnostics += validate_model(result.model)
@@ -108,7 +103,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    result = _load_model(args.input)
+    result = parse_model(_read(args.input))
     if result.model is None:
         print(render_diagnostics(result.errors), file=sys.stderr)
         return EXIT_DOMAIN
@@ -129,7 +124,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    result = _load_model(args.input)
+    result = parse_model(_read(args.input))
     if result.model is None:
         print(render_diagnostics(result.errors), file=sys.stderr)
         return EXIT_DOMAIN

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping, Optional, Tuple, Union
+from functools import cached_property
+from typing import Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 
 class ModelError(Exception):
@@ -329,24 +330,33 @@ class ProcessModel:
 
     # -- structural queries -------------------------------------------------
 
+    @cached_property
+    def _adjacency(self) -> dict:
+        """Node id -> its pool and flows, built on first use."""
+        return _build_adjacency(self)
+
+    @cached_property
+    def _regions(self) -> dict:
+        return _match_regions(self)
+
+    def _links(self, node_id: str) -> _NodeLinks:
+        try:
+            return self._adjacency[node_id]
+        except KeyError:
+            raise DanglingReference(f"no pool contains node {node_id!r}") from None
+
     def pool_of(self, node_id: str) -> Pool:
-        for pool in self.pools:
-            for node in pool.nodes:
-                if node.id == node_id:
-                    return pool
-        raise DanglingReference(f"no pool contains node {node_id!r}")
+        return self._links(node_id).pool
 
     def lane_of(self, node_id: str) -> Lane:
         node = self.index[node_id]
         return self.index[node.lane_id]
 
     def outgoing(self, node_id: str) -> Tuple[SequenceFlow, ...]:
-        pool = self.pool_of(node_id)
-        return tuple(f for f in pool.flows if f.source_id == node_id)
+        return self._links(node_id).outgoing
 
     def incoming(self, node_id: str) -> Tuple[SequenceFlow, ...]:
-        pool = self.pool_of(node_id)
-        return tuple(f for f in pool.flows if f.target_id == node_id)
+        return self._links(node_id).incoming
 
     def iter_nodes(self) -> Iterator[FlowNode]:
         for pool in self.pools:
@@ -395,6 +405,25 @@ def _build_index(model: ProcessModel) -> dict:
     for flow in model.message_flows:
         add(flow.id, flow)
     return index
+
+
+class _NodeLinks(NamedTuple):
+    pool: Pool
+    outgoing: Tuple[SequenceFlow, ...]  # in flow-id order
+    incoming: Tuple[SequenceFlow, ...]
+
+
+def _build_adjacency(model: ProcessModel) -> dict:
+    out: dict = {}
+    for pool in model.pools:
+        succ: dict = {n.id: [] for n in pool.nodes}
+        pred: dict = {n.id: [] for n in pool.nodes}
+        for flow in pool.flows:  # normalized: already sorted by id
+            succ[flow.source_id].append(flow)
+            pred[flow.target_id].append(flow)
+        for node_id in succ:
+            out[node_id] = _NodeLinks(pool, tuple(succ[node_id]), tuple(pred[node_id]))
+    return out
 
 
 def _check_invariants(model: ProcessModel):
@@ -471,27 +500,27 @@ def model_get(model: ProcessModel, elem_id: str):
 _EXIT = object()  # virtual exit for post-dominator analysis
 
 
-def _post_dominators(pool: Pool) -> dict:
+def _post_dominators(model: ProcessModel, pool: Pool) -> dict:
     """Post-dominator sets over the pool's sequence-flow graph.
 
     Computed as dominators of the reversed graph rooted at a virtual
     exit that collects every node without outgoing flows.
     """
+    adj = model._adjacency
     nodes = [n.id for n in pool.nodes]
-    succ = {n: [] for n in nodes}
-    for flow in pool.flows:
-        succ[flow.source_id].append(flow.target_id)
-    # reverse graph rooted at virtual exit
-    rsucc = {n: [] for n in nodes}
-    rsucc[_EXIT] = [n for n in nodes if not succ[n]]
-    for flow in pool.flows:
-        rsucc[flow.target_id].append(flow.source_id)
+    exits = [n for n in nodes if not adj[n].outgoing]
+
+    def rsucc(n):  # successors in the reversed graph
+        return exits if n is _EXIT else [f.source_id for f in adj[n].incoming]
+
+    def rpred(n):  # predecessors in the reversed graph
+        return [f.target_id for f in adj[n].outgoing] or [_EXIT]
 
     order = []
     seen = set()
 
     def visit(n):
-        stack = [(n, iter(rsucc[n]))]
+        stack = [(n, iter(rsucc(n)))]
         seen.add(n)
         while stack:
             top, it = stack[-1]
@@ -499,7 +528,7 @@ def _post_dominators(pool: Pool) -> dict:
             for s in it:
                 if s not in seen:
                     seen.add(s)
-                    stack.append((s, iter(rsucc[s])))
+                    stack.append((s, iter(rsucc(s))))
                     advanced = True
                     break
             if not advanced:
@@ -508,20 +537,17 @@ def _post_dominators(pool: Pool) -> dict:
 
     visit(_EXIT)
     rpo = list(reversed(order))
-    rpred = {n: [] for n in rsucc}
-    for n, ss in rsucc.items():
-        for s in ss:
-            rpred[s].append(n)
 
-    universe = set(rsucc)
-    dom = {n: universe if n is not _EXIT else {_EXIT} for n in rsucc}
+    universe = set(nodes) | {_EXIT}
+    dom = {n: universe for n in nodes}
+    dom[_EXIT] = {_EXIT}
     changed = True
     while changed:
         changed = False
         for n in rpo:
             if n is _EXIT:
                 continue
-            preds = [dom[p] for p in rpred[n] if p in dom]
+            preds = [dom[p] for p in rpred(n)]
             new = set.intersection(*preds) if preds else set()
             new = new | {n}
             if new != dom[n]:
@@ -530,12 +556,43 @@ def _post_dominators(pool: Pool) -> dict:
     return dom
 
 
-def _is_agentic_merging(node) -> bool:
+def _is_agentic_gateway(node, direction: GatewayDirection) -> bool:
     return (
         isinstance(node, Gateway)
         and node.agentic is not None
-        and node.agentic.direction is GatewayDirection.MERGING
+        and node.agentic.direction is direction
     )
+
+
+def analyze_regions(
+    model: ProcessModel,
+) -> Mapping[str, Union[CollaborationRegion, ModelError]]:
+    """Every agentic diverging gateway mapped to its collaboration region,
+    or to the :class:`ModelError` that prevents one.
+
+    Computed once per model, on first use, and shared by every caller;
+    gateways appear in pool order, then by id.  Cached errors carry no
+    traceback.
+    """
+    return model._regions
+
+
+def _match_regions(model: ProcessModel) -> dict:
+    out = {}
+    for pool in model.pools:
+        gateways = [
+            n.id for n in pool.nodes
+            if _is_agentic_gateway(n, GatewayDirection.DIVERGING)
+        ]
+        if not gateways:
+            continue
+        postdom = _post_dominators(model, pool)
+        for gw_id in gateways:
+            try:
+                out[gw_id] = _match_region(model, postdom, gw_id)
+            except ModelError as exc:
+                out[gw_id] = exc.with_traceback(None)
+    return out
 
 
 def find_merge_for(model: ProcessModel, diverging_id: str) -> CollaborationRegion:
@@ -543,24 +600,25 @@ def find_merge_for(model: ProcessModel, diverging_id: str) -> CollaborationRegio
 
     The merging gateway is defined as the nearest agentic merging
     gateway that post-dominates the diverging gateway within its pool's
-    sequence-flow graph.
+    sequence-flow graph.  A lookup into :func:`analyze_regions`; a
+    failure raises a fresh error of the cached one's class and message.
     """
-    node = model_get(model, diverging_id)
-    if not (
-        isinstance(node, Gateway)
-        and node.agentic is not None
-        and node.agentic.direction is GatewayDirection.DIVERGING
-    ):
+    model_get(model, diverging_id)  # unknown ids raise DanglingReference
+    result = analyze_regions(model).get(diverging_id)
+    if result is None:
         raise NoMatchingMerge(f"{diverging_id!r} is not an agentic diverging gateway")
-    pool = model.pool_of(diverging_id)
-    postdom = _post_dominators(pool)
+    if isinstance(result, ModelError):
+        raise type(result)(*result.args)
+    return result
 
+
+def _match_region(model: ProcessModel, postdom: dict, diverging_id: str) -> CollaborationRegion:
     candidates = [
         n
         for n in postdom.get(diverging_id, set())
         if n is not _EXIT
         and n != diverging_id
-        and _is_agentic_merging(model.index[n])
+        and _is_agentic_gateway(model.index[n], GatewayDirection.MERGING)
     ]
     if not candidates:
         raise NoMatchingMerge(
@@ -578,17 +636,11 @@ def find_merge_for(model: ProcessModel, diverging_id: str) -> CollaborationRegio
 
     # enumerate all simple paths from the diverging gateway to the merge,
     # one DFS per outgoing edge so parallel edges give separate branches
-    succ_edges: dict = {n.id: [] for n in pool.nodes}
-    for flow in pool.flows:
-        succ_edges[flow.source_id].append(flow)
-
+    adj = model._adjacency
     branches = []
-    out_flows = sorted(
-        (f for f in pool.flows if f.source_id == diverging_id), key=lambda f: f.id
-    )
-    for entry in out_flows:
+    for entry in adj[diverging_id].outgoing:
         paths = []
-        _simple_paths(succ_edges, entry.target_id, nearest, [diverging_id], paths)
+        _simple_paths(adj, entry.target_id, nearest, [diverging_id], paths)
         if len(paths) != 1:
             raise MalformedRegion(
                 f"branch through flow {entry.id!r} yields {len(paths)} paths; "
@@ -604,16 +656,13 @@ def find_merge_for(model: ProcessModel, diverging_id: str) -> CollaborationRegio
         combined |= interior
 
     region_nodes = combined | {diverging_id, nearest}
-    pred_edges: dict = {n.id: [] for n in pool.nodes}
-    for flow in pool.flows:
-        pred_edges[flow.target_id].append(flow)
     for n in combined:
-        for flow in pred_edges[n]:
+        for flow in adj[n].incoming:
             if flow.source_id not in region_nodes:
                 raise MalformedRegion(
                     f"branch node {n!r} is entered from outside the region"
                 )
-        for flow in succ_edges[n]:
+        for flow in adj[n].outgoing:
             if flow.target_id not in region_nodes:
                 raise MalformedRegion(
                     f"branch node {n!r} exits the region via {flow.id!r}"
@@ -630,15 +679,15 @@ def find_merge_for(model: ProcessModel, diverging_id: str) -> CollaborationRegio
     )
 
 
-def _simple_paths(succ_edges, start, goal, prefix, out):
+def _simple_paths(adj, start, goal, prefix, out):
     path = prefix + [start]
     if start == goal:
         out.append(path)
         return
-    for flow in sorted(succ_edges[start], key=lambda f: f.id):
+    for flow in adj[start].outgoing:
         if flow.target_id in path:
             continue
-        _simple_paths(succ_edges, flow.target_id, goal, path, out)
+        _simple_paths(adj, flow.target_id, goal, path, out)
 
 
 def region_roles(model: ProcessModel, region: CollaborationRegion) -> dict:

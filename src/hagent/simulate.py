@@ -498,12 +498,15 @@ class _Simulation:
         else:
             output = self.cursors.next_output(task.id, behavior)
             output = self.finish_output(task, behavior, output)
+        self.emit_task_done(task, output)
+        return output
+
+    def emit_task_done(self, task: m.Task, output: CandidateOutput):
         task_trust = task.agentic.trust if task.agentic else None
         effective = propagate_trust(
             self.lane_trust(task.lane_id), task_trust, output.confidence
         )
         self.emit(TaskDone(task.id, output=output, effective_trust=effective))
-        return output
 
     # -- collaboration regions ----------------------------------------------
 
@@ -519,12 +522,8 @@ class _Simulation:
         strategy = merge_gw.agentic.merge
         self.emit(RegionOpen(div.id, mode=mode))
 
-        entry_flows = sorted(
-            (f for f in model.pool_of(div.id).flows if f.source_id == div.id),
-            key=lambda f: f.id,
-        )
         active: List[Tuple[Tuple[str, ...], m.SequenceFlow]] = []
-        for branch, flow in zip(region.branches, entry_flows):
+        for branch, flow in zip(region.branches, model.outgoing(div.id)):
             if div.kind is m.GatewayKind.INCLUSIVE:
                 if flow.condition is not None and not _condition_holds(
                     flow.condition, context_label
@@ -562,15 +561,7 @@ class _Simulation:
                 if behavior and self.cursors.has_more_outputs(task.id, behavior):
                     revised = self.cursors.next_output(task.id, behavior)
                     revised = self.finish_output(task, behavior, revised)
-                    task_trust = task.agentic.trust if task.agentic else None
-                    effective = propagate_trust(
-                        self.lane_trust(task.lane_id),
-                        task_trust,
-                        revised.confidence,
-                    )
-                    self.emit(
-                        TaskDone(task.id, output=revised, effective_trust=effective)
-                    )
+                    self.emit_task_done(task, revised)
                     candidates[i] = revised
 
         self.emit(CandidateSet(merge_gw.id, candidates=tuple(candidates)))
@@ -722,7 +713,7 @@ class _Simulation:
             raise StepBudgetExceeded(f"step budget of {STEP_BUDGET} exceeded")
 
     def route_exclusive(self, node, token) -> List[m.SequenceFlow]:
-        flows = sorted(self.model.outgoing(node.id), key=lambda f: f.id)
+        flows = self.model.outgoing(node.id)
         default = None
         for flow in flows:
             if flow.condition is None:
@@ -738,7 +729,7 @@ class _Simulation:
         )
 
     def route_inclusive(self, node, token) -> List[m.SequenceFlow]:
-        flows = sorted(self.model.outgoing(node.id), key=lambda f: f.id)
+        flows = self.model.outgoing(node.id)
         chosen = [
             f
             for f in flows
@@ -773,7 +764,7 @@ class _Simulation:
                 token.last_output = self.execute_task(node)
             elif isinstance(node, m.Gateway) and node.agentic is not None:
                 if node.agentic.direction is m.GatewayDirection.DIVERGING:
-                    region = m.find_merge_for(self.model, node.id)
+                    region = m.analyze_regions(self.model)[node.id]
                     winner = self.execute_region(region, token.last_output)
                     merge_gw = self.model.index[region.merging_gateway_id]
                     self.emit(TokenEnter(merge_gw.id))
@@ -820,7 +811,7 @@ class _Simulation:
         return self.trace
 
     def advance(self, token, flows, queue):
-        for flow in sorted(flows, key=lambda f: f.id):
+        for flow in flows:
             target = self.model.index[flow.target_id]
             if isinstance(target, m.EndEvent):
                 self.emit(TokenEnd(target.id))
@@ -856,19 +847,31 @@ def execute_region(
 # -- scenario files ---------------------------------------------------------
 
 
+def _optional_int(spec: dict, key: str) -> Optional[int]:
+    value = spec.get(key)
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _load_output(raw: dict) -> CandidateOutput:
     confidence = raw.get("confidence")
     return CandidateOutput(
         label=str(raw["label"]),
         payload=str(raw.get("payload", "")),
-        confidence=m.TrustScore(int(confidence)) if confidence is not None else None,
-        latency_ms=raw.get("latencyMs"),
-        completeness=raw.get("completeness"),
+        confidence=m.mk_trust_score(int(confidence)) if confidence is not None else None,
+        latency_ms=_optional_int(raw, "latencyMs"),
+        completeness=_optional_int(raw, "completeness"),
     )
 
 
 def load_scenario(text) -> ScenarioPolicy:
-    """Load a scenario from YAML text or bytes."""
+    """Load a scenario from YAML text or bytes.
+
+    Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`) when a
+    confidence lies outside 0..100 or a latency, jitter or completeness
+    is not an integer.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     raw = yaml.safe_load(text) or {}
@@ -879,9 +882,9 @@ def load_scenario(text) -> ScenarioPolicy:
             outputs=[_load_output(o) for o in spec.get("outputs", [])],
             reflection_verdicts=[str(v) for v in spec.get("reflectionVerdicts", [])],
             vote=spec.get("vote"),
-            latency_ms=spec.get("latencyMs"),
-            completeness=spec.get("completeness"),
-            latency_jitter_ms=spec.get("latencyJitterMs"),
+            latency_ms=_optional_int(spec, "latencyMs"),
+            completeness=_optional_int(spec, "completeness"),
+            latency_jitter_ms=_optional_int(spec, "latencyJitterMs"),
         )
     per_lane = {}
     for lane_id, spec in (raw.get("lanes") or {}).items():

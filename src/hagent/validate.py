@@ -25,40 +25,17 @@ def _diag(rule_code, severity, element_id, message) -> Diagnostic:
     return Diagnostic(severity, rule_code, element_id, message)
 
 
-def _agentic_diverging_gateways(model):
-    for node in model.iter_nodes():
-        if (
-            isinstance(node, m.Gateway)
-            and node.agentic is not None
-            and node.agentic.direction is m.GatewayDirection.DIVERGING
-        ):
-            yield node
-
-
-def _regions(model):
-    """Successfully matched regions; pairing failures are E-PAIR's business."""
-    for gw in _agentic_diverging_gateways(model):
-        try:
-            yield gw, m.find_merge_for(model, gw.id)
-        except m.ModelError:
-            continue
-
-
 def _check_pair(model):
-    out = []
-    for gw in _agentic_diverging_gateways(model):
-        try:
-            m.find_merge_for(model, gw.id)
-        except m.ModelError as exc:
-            out.append(
-                _diag(
-                    "E-PAIR",
-                    Severity.ERROR,
-                    gw.id,
-                    f"no matching agentic merging gateway: {exc}",
-                )
-            )
-    return out
+    return [
+        _diag(
+            "E-PAIR",
+            Severity.ERROR,
+            gw_id,
+            f"no matching agentic merging gateway: {result}",
+        )
+        for gw_id, result in m.analyze_regions(model).items()
+        if isinstance(result, m.ModelError)
+    ]
 
 
 def _is_manager(lane) -> bool:
@@ -68,7 +45,10 @@ def _is_manager(lane) -> bool:
 
 def _check_manager(model):
     out = []
-    for gw, region in _regions(model):
+    for region in m.analyze_regions(model).values():
+        if isinstance(region, m.ModelError):
+            continue
+        gw = model.index[region.diverging_gateway_id]
         merge_gw = model.index[region.merging_gateway_id]
         needs_manager = (
             merge_gw.agentic.merge is m.MergeStrategy.ROLE_LEADER_DRIVEN
@@ -193,15 +173,11 @@ def _pool_is_agentic(pool) -> bool:
 
 def _check_message_direction(model):
     out = []
-    pool_of = {}
-    for pool in model.pools:
-        for node in pool.nodes:
-            pool_of[node.id] = pool
     for flow in model.message_flows:
         if flow.agentic is None:
             continue
         if flow.agentic.direction is m.MessageFlowDirection.OUTGOING:
-            target_pool = pool_of[flow.target_id]
+            target_pool = model.pool_of(flow.target_id)
             if not _pool_is_agentic(target_pool):
                 out.append(
                     _diag(
@@ -212,7 +188,7 @@ def _check_message_direction(model):
                     )
                 )
         else:
-            source_pool = pool_of[flow.source_id]
+            source_pool = model.pool_of(flow.source_id)
             if not _pool_is_agentic(source_pool):
                 out.append(
                     _diag(
@@ -227,7 +203,9 @@ def _check_message_direction(model):
 
 def _check_vote_arity(model):
     out = []
-    for _gw, region in _regions(model):
+    for region in m.analyze_regions(model).values():
+        if isinstance(region, m.ModelError):
+            continue
         merge_gw = model.index[region.merging_gateway_id]
         if (
             merge_gw.agentic.merge in m.VOTING_STRATEGIES

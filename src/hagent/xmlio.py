@@ -236,7 +236,10 @@ class _Parser:
             human_lane_id=human,
         )
 
-    def parse_gateway_ext(self, elems, element_id, kind):
+    def parse_collab_ext(self, elems, element_id, kind=None):
+        """Collaboration/merge extension of a gateway of the given ``kind``,
+        or of a message flow when ``kind`` is None."""
+        host = "message flow" if kind is None else "gateway"
         collaboration = merge = trust = None
         for elem in elems:
             tag = _tag(elem)
@@ -268,22 +271,17 @@ class _Parser:
                     return None
             else:
                 self.error(
-                    "E-EXT", element_id, f"unexpected <hagent:{tag}> on gateway"
+                    "E-EXT", element_id, f"unexpected <hagent:{tag}> on {host}"
                 )
                 return None
-        if collaboration is None and merge is None:
-            self.error(
-                "E-EXT",
-                element_id,
-                "agentic gateway requires a collaboration or merge element",
-            )
-            return None
-        if collaboration is not None and merge is not None:
-            self.error(
-                "E-EXT",
-                element_id,
-                "gateway cannot carry both collaboration and merge",
-            )
+        if (collaboration is None) == (merge is None):
+            if kind is None:
+                message = "agentic message flow requires exactly one of collaboration/merge"
+            elif collaboration is None:
+                message = "agentic gateway requires a collaboration or merge element"
+            else:
+                message = "gateway cannot carry both collaboration and merge"
+            self.error("E-EXT", element_id, message)
             return None
         if kind in (m.GatewayKind.EXCLUSIVE, m.GatewayKind.COMPLEX):
             self.error(
@@ -292,66 +290,20 @@ class _Parser:
                 f"agentic extension not allowed on {kind.value} gateway",
             )
             return None
-        direction = (
-            m.GatewayDirection.DIVERGING
-            if collaboration is not None
-            else m.GatewayDirection.MERGING
-        )
-        return m.AgenticGatewayInfo(
-            direction=direction,
-            collaboration=collaboration,
-            merge=merge,
-            trust=trust,
-        )
-
-    def parse_message_flow_ext(self, elems, element_id):
-        collaboration = merge = trust = None
-        for elem in elems:
-            tag = _tag(elem)
-            if tag == "collaboration":
-                if not self.check_attrs(elem, element_id, {"mode"}):
-                    return None
-                mode = elem.get("mode")
-                if mode not in _COLLAB_TOKENS:
-                    self.error(
-                        "E-EXT", element_id, f"unknown collaboration mode {mode!r}"
-                    )
-                    return None
-                collaboration = _COLLAB_TOKENS[mode]
-            elif tag == "merge":
-                if not self.check_attrs(elem, element_id, {"strategy"}):
-                    return None
-                strategy = elem.get("strategy")
-                if strategy not in _MERGE_TOKENS:
-                    self.error(
-                        "E-EXT", element_id, f"unknown merge strategy {strategy!r}"
-                    )
-                    return None
-                merge = _MERGE_TOKENS[strategy]
-            elif tag == "uncertainty":
-                if not self.check_attrs(elem, element_id, {"trustScore"}):
-                    return None
-                trust = self.parse_trust(elem.get("trustScore", ""), element_id)
-                if trust is None:
-                    return None
-            else:
-                self.error(
-                    "E-EXT", element_id, f"unexpected <hagent:{tag}> on message flow"
-                )
-                return None
-        if (collaboration is None) == (merge is None):
-            self.error(
-                "E-EXT",
-                element_id,
-                "agentic message flow requires exactly one of collaboration/merge",
+        opens = collaboration is not None
+        if kind is None:
+            info = m.AgenticMessageFlowInfo
+            direction = (
+                m.MessageFlowDirection.OUTGOING
+                if opens
+                else m.MessageFlowDirection.INCOMING
             )
-            return None
-        direction = (
-            m.MessageFlowDirection.OUTGOING
-            if collaboration is not None
-            else m.MessageFlowDirection.INCOMING
-        )
-        return m.AgenticMessageFlowInfo(
+        else:
+            info = m.AgenticGatewayInfo
+            direction = (
+                m.GatewayDirection.DIVERGING if opens else m.GatewayDirection.MERGING
+            )
+        return info(
             direction=direction,
             collaboration=collaboration,
             merge=merge,
@@ -472,7 +424,7 @@ class _Parser:
                     kind = _GATEWAY_KINDS[tag]
                     agentic = None
                     if hagent:
-                        agentic = self.parse_gateway_ext(hagent, elem_id, kind)
+                        agentic = self.parse_collab_ext(hagent, elem_id, kind)
                         if agentic is None:
                             continue
                     node = m.Gateway(
@@ -586,7 +538,7 @@ def parse_model(document) -> ParseResult:
             hagent, foreign = parser.split_extensions(flow_elem, flow_id)
             agentic = None
             if hagent:
-                agentic = parser.parse_message_flow_ext(hagent, flow_id)
+                agentic = parser.parse_collab_ext(hagent, flow_id)
                 if agentic is None:
                     continue
             message_flows.append(
@@ -716,19 +668,7 @@ def serialize_model(model: m.ProcessModel) -> bytes:
             f"<bpmn:messageFlow{_attr('id', flow.id)}"
             f"{_attr('sourceRef', flow.source_id)}{_attr('targetRef', flow.target_id)}"
         )
-        ext_lines = []
-        if flow.agentic is not None:
-            info = flow.agentic
-            if info.collaboration is not None:
-                ext_lines.append(
-                    f"<hagent:collaboration{_attr('mode', info.collaboration.value)}/>"
-                )
-            if info.merge is not None:
-                ext_lines.append(
-                    f"<hagent:merge{_attr('strategy', info.merge.value)}/>"
-                )
-            if info.trust is not None:
-                ext_lines.append(f"<hagent:uncertainty{_trust_attr(info.trust)}/>")
+        ext_lines = _gateway_ext_lines(flow.agentic) if flow.agentic else []
         if ext_lines or flow.foreign_ext:
             w.line(2, open_tag + ">")
             _write_extensions(w, 3, ext_lines, flow.foreign_ext)

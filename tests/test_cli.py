@@ -99,3 +99,14 @@ def test_export_xsd(tmp_path, capsys):
     assert target.read_bytes() == export_extension_schema()
     assert main(["export-xsd"]) == EXIT_OK
     assert capsys.readouterr().out.encode() == export_extension_schema()
+
+
+def test_simulate_scenario_with_bad_jitter_fails(tmp_path, capsys):
+    scenario = tmp_path / "jitter.scn.yaml"
+    scenario.write_text(
+        (FIXTURES / "bug-triage.scn.yaml").read_text().replace(
+            "latencyMs: 120\n", "latencyMs: 120\n    latencyJitterMs: x\n"
+        )
+    )
+    assert main(["simulate", FIXTURE, "--scenario", str(scenario)]) == EXIT_DOMAIN
+    assert "bad scenario file" in capsys.readouterr().err

@@ -551,3 +551,31 @@ lanes:
 def test_load_scenario_empty_document():
     scenario = sim.load_scenario("")
     assert scenario.per_task == {} and scenario.per_lane == {} and scenario.seed == 0
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        "tasks: {t-1: {outputs: [{label: a, confidence: 900}]}}",
+        "tasks: {t-1: {outputs: [{label: a, confidence: -1}]}}",
+        "tasks: {t-1: {outputs: [{label: a, latencyMs: fast}]}}",
+        "tasks: {t-1: {outputs: [{label: a, completeness: x}]}}",
+        "tasks: {t-1: {outputs: [{label: a}], latencyMs: fast}}",
+        "tasks: {t-1: {outputs: [{label: a}], completeness: 1.5}}",
+        "tasks: {t-1: {outputs: [{label: a}], latencyJitterMs: x}}",
+        "tasks: {t-1: {outputs: [{label: a}], latencyJitterMs: true}}",
+    ],
+    ids=[
+        "confidence-900",
+        "confidence-negative",
+        "output-latencyMs",
+        "output-completeness",
+        "task-latencyMs",
+        "task-completeness",
+        "task-latencyJitterMs",
+        "task-latencyJitterMs-bool",
+    ],
+)
+def test_load_scenario_rejects_bad_values(document):
+    with pytest.raises((ValueError, m.OutOfRange)):
+        sim.load_scenario(document)
