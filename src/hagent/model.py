@@ -44,7 +44,7 @@ class NoMatchingMerge(ModelError):
 
 
 class MalformedRegion(ModelError):
-    """Collaboration branches overlap, re-enter, or escape the region."""
+    """A collaboration branch is not a chain of one-in, one-out nodes."""
 
 
 MANAGER = "manager"
@@ -387,11 +387,12 @@ def _build_index(model: ProcessModel) -> dict:
     index: dict = {}
 
     def add(elem_id: str, obj: object):
-        if elem_id in index:
+        # the model's own id is reserved but not stored: storing the model
+        # in its own index would put it in a reference cycle
+        if elem_id in index or elem_id == model.id:
             raise DuplicateId(f"duplicate element id {elem_id!r}")
         index[elem_id] = obj
 
-    add(model.id, model)
     for pool in model.pools:
         add(pool.id, pool)
         for lane in pool.lanes:
@@ -472,7 +473,7 @@ def _check_invariants(model: ProcessModel):
         for artifact in pool.artifacts:
             if isinstance(artifact, Association):
                 for end in (artifact.source_id, artifact.target_id):
-                    if end not in model.index:
+                    if end not in model.index and end != model.id:
                         raise DanglingReference(
                             f"association {artifact.id!r} references {end!r}"
                         )
@@ -501,14 +502,15 @@ _EXIT = object()  # virtual exit for post-dominator analysis
 
 
 def _post_dominators(model: ProcessModel, pool: Pool) -> dict:
-    """Post-dominator sets over the pool's sequence-flow graph.
+    """Immediate post-dominator of every node of the pool that reaches an exit.
 
-    Computed as dominators of the reversed graph rooted at a virtual
-    exit that collects every node without outgoing flows.
+    Computed as immediate dominators of the reversed sequence-flow graph,
+    rooted at a virtual exit that collects every node without outgoing
+    flows (Cooper, Harvey and Kennedy, "A Simple, Fast Dominance
+    Algorithm", 2001).  ``_EXIT`` maps to itself.
     """
     adj = model._adjacency
-    nodes = [n.id for n in pool.nodes]
-    exits = [n for n in nodes if not adj[n].outgoing]
+    exits = [n.id for n in pool.nodes if not adj[n.id].outgoing]
 
     def rsucc(n):  # successors in the reversed graph
         return exits if n is _EXIT else [f.source_id for f in adj[n].incoming]
@@ -516,44 +518,42 @@ def _post_dominators(model: ProcessModel, pool: Pool) -> dict:
     def rpred(n):  # predecessors in the reversed graph
         return [f.target_id for f in adj[n].outgoing] or [_EXIT]
 
-    order = []
-    seen = set()
+    order = []  # post-order of the reversed graph
+    seen = {_EXIT}
+    stack = [(_EXIT, iter(rsucc(_EXIT)))]
+    while stack:
+        top, it = stack[-1]
+        for s in it:
+            if s not in seen:
+                seen.add(s)
+                stack.append((s, iter(rsucc(s))))
+                break
+        else:
+            order.append(top)
+            stack.pop()
+    rank = {n: i for i, n in enumerate(order)}
 
-    def visit(n):
-        stack = [(n, iter(rsucc(n)))]
-        seen.add(n)
-        while stack:
-            top, it = stack[-1]
-            advanced = False
-            for s in it:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(rsucc(s))))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(top)
-                stack.pop()
+    def meet(a, b):  # nearest common post-dominator; ids compare by value
+        while a != b:
+            while rank[a] < rank[b]:
+                a = ipdom[a]
+            while rank[b] < rank[a]:
+                b = ipdom[b]
+        return a
 
-    visit(_EXIT)
-    rpo = list(reversed(order))
-
-    universe = set(nodes) | {_EXIT}
-    dom = {n: universe for n in nodes}
-    dom[_EXIT] = {_EXIT}
+    ipdom = {_EXIT: _EXIT}
     changed = True
     while changed:
         changed = False
-        for n in rpo:
-            if n is _EXIT:
-                continue
-            preds = [dom[p] for p in rpred(n)]
-            new = set.intersection(*preds) if preds else set()
-            new = new | {n}
-            if new != dom[n]:
-                dom[n] = new
+        for n in reversed(order[:-1]):  # reverse post-order, root excluded
+            new = None
+            for p in rpred(n):
+                if p in ipdom:
+                    new = p if new is None else meet(p, new)
+            if ipdom.get(n) != new:
+                ipdom[n] = new
                 changed = True
-    return dom
+    return ipdom
 
 
 def _is_agentic_gateway(node, direction: GatewayDirection) -> bool:
@@ -612,82 +612,47 @@ def find_merge_for(model: ProcessModel, diverging_id: str) -> CollaborationRegio
     return result
 
 
-def _match_region(model: ProcessModel, postdom: dict, diverging_id: str) -> CollaborationRegion:
-    candidates = [
-        n
-        for n in postdom.get(diverging_id, set())
-        if n is not _EXIT
-        and n != diverging_id
-        and _is_agentic_gateway(model.index[n], GatewayDirection.MERGING)
-    ]
-    if not candidates:
+def _match_region(model: ProcessModel, ipdom: dict, diverging_id: str) -> CollaborationRegion:
+    # the nearest agentic merge is the first one up the ipdom chain
+    merge = ipdom.get(diverging_id, _EXIT)
+    while merge is not _EXIT and not _is_agentic_gateway(
+        model.index[merge], GatewayDirection.MERGING
+    ):
+        merge = ipdom[merge]
+    if merge is _EXIT:
         raise NoMatchingMerge(
             f"no agentic merging gateway post-dominates {diverging_id!r}"
         )
-    # post-dominators of a node form a chain; the nearest candidate is the
-    # one that every other candidate post-dominates
-    nearest = None
-    for m in candidates:
-        if all(other == m or other in postdom[m] for other in candidates):
-            nearest = m
-            break
-    if nearest is None:  # should not happen on a chain
-        raise MalformedRegion("post-dominator candidates do not form a chain")
 
-    # enumerate all simple paths from the diverging gateway to the merge,
-    # one DFS per outgoing edge so parallel edges give separate branches
+    # each branch is a chain of nodes with one flow in and one flow out; the
+    # walk cannot loop, since a loop of such nodes through the entry flow
+    # would pass the diverging gateway, which then could reach no exit
     adj = model._adjacency
     branches = []
     for entry in adj[diverging_id].outgoing:
-        paths = []
-        _simple_paths(adj, entry.target_id, nearest, [diverging_id], paths)
-        if len(paths) != 1:
-            raise MalformedRegion(
-                f"branch through flow {entry.id!r} yields {len(paths)} paths; "
-                "branches must be single node-disjoint chains"
-            )
-        branches.append(tuple(paths[0]))
-
-    interiors = [set(b[1:-1]) for b in branches]
-    combined: set = set()
-    for interior in interiors:
-        if combined & interior:
-            raise MalformedRegion("branch interiors overlap")
-        combined |= interior
-
-    region_nodes = combined | {diverging_id, nearest}
-    for n in combined:
-        for flow in adj[n].incoming:
-            if flow.source_id not in region_nodes:
+        branch = [diverging_id]
+        node_id = entry.target_id
+        while node_id != merge:
+            links = adj[node_id]
+            if len(links.incoming) != 1 or len(links.outgoing) != 1:
                 raise MalformedRegion(
-                    f"branch node {n!r} is entered from outside the region"
+                    f"branch through flow {entry.id!r} is not a chain at "
+                    f"{node_id!r}: branch nodes need one flow in and one flow out"
                 )
-        for flow in adj[n].outgoing:
-            if flow.target_id not in region_nodes:
-                raise MalformedRegion(
-                    f"branch node {n!r} exits the region via {flow.id!r}"
-                )
+            branch.append(node_id)
+            node_id = links.outgoing[0].target_id
+        branch.append(merge)
+        branches.append(tuple(branch))
 
     lanes = frozenset(
         model.index[node_id].lane_id for b in branches for node_id in b
     )
     return CollaborationRegion(
         diverging_gateway_id=diverging_id,
-        merging_gateway_id=nearest,
+        merging_gateway_id=merge,
         branches=tuple(branches),
         participant_lane_ids=lanes,
     )
-
-
-def _simple_paths(adj, start, goal, prefix, out):
-    path = prefix + [start]
-    if start == goal:
-        out.append(path)
-        return
-    for flow in adj[start].outgoing:
-        if flow.target_id in path:
-            continue
-        _simple_paths(adj, flow.target_id, goal, path, out)
 
 
 def region_roles(model: ProcessModel, region: CollaborationRegion) -> dict:

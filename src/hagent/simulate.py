@@ -519,7 +519,6 @@ class _Simulation:
         div = model.index[region.diverging_gateway_id]
         merge_gw = model.index[region.merging_gateway_id]
         mode = div.agentic.collaboration
-        strategy = merge_gw.agentic.merge
         self.emit(RegionOpen(div.id, mode=mode))
 
         active: List[Tuple[Tuple[str, ...], m.SequenceFlow]] = []
@@ -564,8 +563,6 @@ class _Simulation:
                     self.emit_task_done(task, revised)
                     candidates[i] = revised
 
-        self.emit(CandidateSet(merge_gw.id, candidates=tuple(candidates)))
-
         votes: Dict[str, str] = {}
         for lane_id in sorted(region.participant_lane_ids):
             script = self.scenario.per_lane.get(lane_id)
@@ -593,20 +590,9 @@ class _Simulation:
                     manager_pick = script.manager_pick
                     break
 
-        winner, rationale = apply_merge_strategy(
-            strategy, candidates, votes if votes else None, manager_pick
+        return self.merge(
+            merge_gw.id, merge_gw.agentic, "gateway", candidates, votes, manager_pick
         )
-        if merge_gw.agentic.trust is not None:
-            rationale += f" [gateway trust={merge_gw.agentic.trust.value}]"
-        self.emit(
-            MergeDecision(
-                merge_gw.id,
-                strategy=strategy,
-                chosen_label=winner.label,
-                rationale=rationale,
-            )
-        )
-        return winner
 
     # -- message-flow regions -----------------------------------------------
 
@@ -647,9 +633,7 @@ class _Simulation:
                 "are not executed"
             )
             return None
-        mode = out_flow.agentic.collaboration
-        strategy = back_flow.agentic.merge
-        self.emit(RegionOpen(out_flow.id, mode=mode))
+        self.emit(RegionOpen(out_flow.id, mode=out_flow.agentic.collaboration))
         current = out_flow.target_id
         last_output = None
         visited = set()
@@ -676,29 +660,34 @@ class _Simulation:
             current = nexts[0].target_id
         if last_output is None:
             raise MissingBehavior(out_flow.id, "remote chain contains no task")
-        candidates = [last_output]
-        self.emit(CandidateSet(back_flow.id, candidates=tuple(candidates)))
         votes = {}
-        for pool in (remote,):
-            for lane in pool.lanes:
-                script = self.scenario.per_lane.get(lane.id)
-                if script and script.vote is not None:
-                    votes[lane.id] = script.vote
+        for lane in remote.lanes:
+            script = self.scenario.per_lane.get(lane.id)
+            if script and script.vote is not None:
+                votes[lane.id] = script.vote
         manager_pick = None
         for lane in here.lanes + remote.lanes:
             script = self.scenario.per_lane.get(lane.id)
             if script and script.manager_pick is not None:
                 manager_pick = script.manager_pick
                 break
-        winner, rationale = apply_merge_strategy(
-            strategy, candidates, votes if votes else None, manager_pick
+        return self.merge(
+            back_flow.id, back_flow.agentic, "message", [last_output], votes, manager_pick
         )
-        if back_flow.agentic.trust is not None:
-            rationale += f" [message trust={back_flow.agentic.trust.value}]"
+
+    def merge(self, element_id, agentic, trust_kind, candidates, votes, manager_pick):
+        """Emit the candidate set, apply the merge strategy of ``agentic``
+        and emit its decision; returns the winner."""
+        self.emit(CandidateSet(element_id, candidates=tuple(candidates)))
+        winner, rationale = apply_merge_strategy(
+            agentic.merge, candidates, votes if votes else None, manager_pick
+        )
+        if agentic.trust is not None:
+            rationale += f" [{trust_kind} trust={agentic.trust.value}]"
         self.emit(
             MergeDecision(
-                back_flow.id,
-                strategy=strategy,
+                element_id,
+                strategy=agentic.merge,
                 chosen_label=winner.label,
                 rationale=rationale,
             )
@@ -854,12 +843,41 @@ def _optional_int(spec: dict, key: str) -> Optional[int]:
     return value
 
 
-def _load_output(raw: dict) -> CandidateOutput:
+def _int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _mapping(value, key: str) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _load_output(raw, key: str) -> CandidateOutput:
+    raw = _mapping(raw, key)
+    if "label" not in raw:
+        raise ValueError(f"{key} has no label")
     confidence = raw.get("confidence")
     return CandidateOutput(
         label=str(raw["label"]),
         payload=str(raw.get("payload", "")),
-        confidence=m.mk_trust_score(int(confidence)) if confidence is not None else None,
+        confidence=(
+            m.mk_trust_score(_int(confidence, "confidence"))
+            if confidence is not None else None
+        ),
         latency_ms=_optional_int(raw, "latencyMs"),
         completeness=_optional_int(raw, "completeness"),
     )
@@ -868,32 +886,43 @@ def _load_output(raw: dict) -> CandidateOutput:
 def load_scenario(text) -> ScenarioPolicy:
     """Load a scenario from YAML text or bytes.
 
-    Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`) when a
-    confidence lies outside 0..100 or a latency, jitter or completeness
+    Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`), naming
+    the key, when the document or a part of it has the wrong shape, a
+    confidence lies outside 0..100, or a latency, jitter or completeness
     is not an integer.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    raw = yaml.safe_load(text) or {}
+    raw = _mapping(yaml.safe_load(text), "scenario")
     per_task = {}
-    for task_id, spec in (raw.get("tasks") or {}).items():
-        spec = spec or {}
+    for task_id, spec in _mapping(raw.get("tasks"), "tasks").items():
+        key = f"tasks.{task_id}"
+        spec = _mapping(spec, key)
         per_task[str(task_id)] = ScriptedBehavior(
-            outputs=[_load_output(o) for o in spec.get("outputs", [])],
-            reflection_verdicts=[str(v) for v in spec.get("reflectionVerdicts", [])],
+            outputs=[
+                _load_output(o, f"{key}.outputs[{i}]")
+                for i, o in enumerate(_list(spec.get("outputs"), f"{key}.outputs"))
+            ],
+            reflection_verdicts=_verdicts(spec, key),
             vote=spec.get("vote"),
             latency_ms=_optional_int(spec, "latencyMs"),
             completeness=_optional_int(spec, "completeness"),
             latency_jitter_ms=_optional_int(spec, "latencyJitterMs"),
         )
     per_lane = {}
-    for lane_id, spec in (raw.get("lanes") or {}).items():
-        spec = spec or {}
+    for lane_id, spec in _mapping(raw.get("lanes"), "lanes").items():
+        key = f"lanes.{lane_id}"
+        spec = _mapping(spec, key)
         per_lane[str(lane_id)] = LaneScript(
-            reflection_verdicts=[str(v) for v in spec.get("reflectionVerdicts", [])],
+            reflection_verdicts=_verdicts(spec, key),
             vote=spec.get("vote"),
             manager_pick=spec.get("managerPick"),
         )
     return ScenarioPolicy(
-        per_task=per_task, per_lane=per_lane, seed=int(raw.get("seed", 0))
+        per_task=per_task, per_lane=per_lane, seed=_int(raw.get("seed", 0), "seed")
     )
+
+
+def _verdicts(spec: dict, key: str) -> List[str]:
+    key += ".reflectionVerdicts"
+    return [str(v) for v in _list(spec.get("reflectionVerdicts"), key)]

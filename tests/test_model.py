@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
 from hagent import model as m
+from hagent.validate import validate_model
 from hagent.xmlio import parse_model
 
 from builders import lane, linear_model, one_pool_model, region_model
@@ -42,6 +46,32 @@ def test_duplicate_ids_rejected():
             nodes=[m.StartEvent("x", "lane-a"), m.EndEvent("x", "lane-a")],
             flows=[],
         )
+
+
+@pytest.mark.parametrize("reused", ["lane", "node"])
+def test_model_id_is_reserved(reused):
+    lane_id = "model-1" if reused == "lane" else "lane-a"
+    node_id = "model-1" if reused == "node" else "n-start"
+    with pytest.raises(m.DuplicateId):
+        one_pool_model(
+            lanes=[lane(lane_id, [node_id])],
+            nodes=[m.StartEvent(node_id, lane_id)],
+            flows=[],
+            model_id="model-1",
+        )
+
+
+def test_a_model_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        model = fixture_model()
+        m.analyze_regions(model)
+        validate_model(model)
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_dangling_flow_rejected():

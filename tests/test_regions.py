@@ -4,13 +4,19 @@ These tests gate on work counters (calls to the post-dominator analysis),
 not on wall time, so they cannot flake.
 """
 
+import dataclasses
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hagent import model as m
 from hagent.cli import EXIT_OK, main
 from hagent.validate import validate_model
 from hagent.xmlio import serialize_model
 
+import old_matcher
 from builders import lane, one_pool_model, region_model, replace_node
 
 
@@ -126,3 +132,217 @@ def test_replaced_copy_does_not_share_the_analysis():
     broken = replace_node(model, "gw-mrg", plain_merge)
     assert [d.code for d in validate_model(broken)] == ["E-PAIR"]
     assert validate_model(model) == []
+
+
+# -- matching by immediate post-dominators -------------------------------------
+
+
+def branch_region(tasks=(), gateways=(), edges=()):
+    """start -> gw-div -> {t-other | the given branch} -> gw-mrg -> end.
+
+    The branch's tasks and plain parallel gateways sit in one worker lane;
+    ``edges`` are its (source, target) flows, including the ones that
+    leave gw-div and enter gw-mrg.
+    """
+    hub = ["n-start", "gw-div", "t-other", "gw-mrg", "n-end"]
+    nodes = [
+        m.StartEvent("n-start", "lane-hub"),
+        m.Gateway("gw-div", "lane-hub", kind=m.GatewayKind.PARALLEL,
+                  agentic=m.AgenticGatewayInfo(
+                      direction=m.GatewayDirection.DIVERGING,
+                      collaboration=m.CollaborationMode.COMPETITION)),
+        m.Task("t-other", "lane-hub"),
+        m.Gateway("gw-mrg", "lane-hub", kind=m.GatewayKind.PARALLEL,
+                  agentic=m.AgenticGatewayInfo(
+                      direction=m.GatewayDirection.MERGING,
+                      merge=m.MergeStrategy.COMPETITION_FASTEST)),
+        m.EndEvent("n-end", "lane-hub"),
+    ]
+    nodes += [m.Task(t, "lane-w") for t in tasks]
+    nodes += [m.Gateway(g, "lane-w", kind=m.GatewayKind.PARALLEL) for g in gateways]
+    pairs = [("n-start", "gw-div"), ("gw-div", "t-other"), ("t-other", "gw-mrg"),
+             ("gw-mrg", "n-end")] + list(edges)
+    flows = [m.SequenceFlow(f"f-{i:05d}", s, t) for i, (s, t) in enumerate(pairs)]
+    lanes = [
+        lane("lane-hub", hub, role=m.MANAGER, trust_value=90),
+        lane("lane-w", list(tasks) + list(gateways), role=m.WORKER, trust_value=80),
+    ]
+    return one_pool_model(lanes, nodes, flows)
+
+
+class CountingDict(dict):
+    """A dict that counts its lookups, to bound work without a clock."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def counted_adjacency(model):
+    adj = CountingDict(m._build_adjacency(model))
+    model.__dict__["_adjacency"] = adj  # where functools.cached_property looks
+    return adj
+
+
+def size(model):
+    pool = model.pools[0]
+    return len(pool.nodes) + len(pool.flows)
+
+
+def test_a_long_branch_validates_clean():
+    tasks = [f"t-{i:04d}" for i in range(1200)]
+    edges = list(zip(["gw-div"] + tasks, tasks + ["gw-mrg"]))
+    model = branch_region(tasks=tasks, edges=edges)
+    adj = counted_adjacency(model)
+    assert validate_model(model) == []
+    region = m.analyze_regions(model)["gw-div"]
+    assert region.branches[1] == ("gw-div", *tasks, "gw-mrg")
+    assert adj.lookups <= 10 * size(model)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("gw-div", "t-1"), ("t-1", "t-2"), ("t-2", "t-1"), ("t-2", "gw-mrg")],
+        [("gw-div", "t-1"), ("t-1", "t-2"), ("t-2", "gw-div"), ("t-2", "gw-mrg")],
+        [("gw-div", "t-1"), ("t-1", "t-2"), ("t-2", "gw-mrg"), ("gw-mrg", "t-2")],
+    ],
+    ids=["inside-branch", "to-diverging-gateway", "from-merge"],
+)
+def test_a_back_edge_in_a_branch_is_malformed(edges):
+    model = branch_region(tasks=["t-1", "t-2"], edges=edges)
+    assert isinstance(m.analyze_regions(model)["gw-div"], m.MalformedRegion)
+    diags = validate_model(model)
+    assert [(d.code, d.element_id) for d in diags] == [("E-PAIR", "gw-div")]
+    assert "'f-00004'" in diags[0].message  # the branch's entry flow
+
+
+def test_diamonds_on_a_branch_are_rejected_in_linear_work():
+    gateways, tasks, edges = [], [], []
+    previous = "gw-div"
+    for i in range(16):
+        fork, join, a, b = f"g-fork-{i:02d}", f"g-join-{i:02d}", f"t-a{i:02d}", f"t-b{i:02d}"
+        gateways += [fork, join]
+        tasks += [a, b]
+        edges += [(previous, fork), (fork, a), (fork, b), (a, join), (b, join)]
+        previous = join
+    edges.append((previous, "gw-mrg"))
+    model = branch_region(tasks=tasks, gateways=gateways, edges=edges)
+    adj = counted_adjacency(model)
+    diags = validate_model(model)
+    assert [(d.code, d.element_id) for d in diags] == [("E-PAIR", "gw-div")]
+    assert "'g-fork-00'" in diags[0].message
+    assert adj.lookups <= 10 * size(model)
+
+
+def test_a_gateway_that_reaches_no_exit_has_no_merge():
+    # both branches end in a loop, so nothing the gateway reaches can exit
+    model = branch_region(
+        tasks=["t-1", "t-2"],
+        edges=[("gw-div", "t-1"), ("t-1", "t-2"), ("t-2", "t-1")],
+    )
+    loop = replace_flow(model, "f-00002", m.SequenceFlow("f-00002", "t-other", "t-1"))
+    assert isinstance(m.analyze_regions(loop)["gw-div"], m.NoMatchingMerge)
+    assert "gw-div" not in m._post_dominators(loop, loop.pools[0])
+
+
+def replace_flow(model, flow_id, new_flow):
+    pool = model.pools[0]
+    flows = tuple(new_flow if f.id == flow_id else f for f in pool.flows)
+    return dataclasses.replace(model, pools=(dataclasses.replace(pool, flows=flows),))
+
+
+# -- random graphs: networkx and the old matcher as oracles -------------------
+
+
+@st.composite
+def random_graphs(draw):
+    """One pool of tasks and gateways joined by random flows.
+
+    Self-loops and parallel flows are allowed; nodes without outgoing
+    flows are the exits.
+    """
+    n = draw(st.integers(2, 9))
+    kinds = draw(st.lists(st.sampled_from(["task", "plain", "div", "mrg"]),
+                          min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    agentic = {
+        "div": m.AgenticGatewayInfo(direction=m.GatewayDirection.DIVERGING,
+                                    collaboration=m.CollaborationMode.VOTING),
+        "mrg": m.AgenticGatewayInfo(direction=m.GatewayDirection.MERGING,
+                                    merge=m.MergeStrategy.VOTING_MAJORITY),
+    }
+    ids = [f"n-{i}" for i in range(n)]
+    nodes = [
+        m.Task(i, "lane-a") if k == "task"
+        else m.Gateway(i, "lane-a", kind=m.GatewayKind.PARALLEL, agentic=agentic.get(k))
+        for i, k in zip(ids, kinds)
+    ]
+    flows = [m.SequenceFlow(f"f-{j:02d}", ids[s], ids[t]) for j, (s, t) in enumerate(pairs)]
+    return one_pool_model([lane("lane-a", ids)], nodes, flows)
+
+
+def networkx_ipdom(model):
+    g = nx.DiGraph()
+    g.add_node("EXIT")
+    for node in model.pools[0].nodes:
+        g.add_node(node.id)
+        if not model.outgoing(node.id):
+            g.add_edge("EXIT", node.id)
+        for flow in model.incoming(node.id):
+            g.add_edge(node.id, flow.source_id)
+    return nx.immediate_dominators(g, "EXIT")
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_graphs())
+def test_immediate_post_dominators_agree_with_networkx(model):
+    ipdom = m._post_dominators(model, model.pools[0])
+    assert ipdom.pop(m._EXIT) is m._EXIT
+    named = {n: "EXIT" if d is m._EXIT else d for n, d in ipdom.items()}
+    assert named == {n: d for n, d in networkx_ipdom(model).items() if n != "EXIT"}
+
+
+def loops_through_a_branch(model, region):
+    """True when a cycle of flows between region nodes passes a branch node."""
+    inside = {n for b in region.branches for n in b}
+    g = nx.DiGraph()
+    g.add_edges_from((f.source_id, f.target_id) for f in model.pools[0].flows
+                     if f.source_id in inside and f.target_id in inside)
+    branch_nodes = {n for b in region.branches for n in b[1:-1]}
+    return any(
+        len(scc) > 1 or g.has_edge(n, n)
+        for scc in nx.strongly_connected_components(g)
+        for n in scc & branch_nodes
+    )
+
+
+def reaches_an_exit(model, node_id):
+    g = nx.DiGraph()
+    g.add_edges_from((f.source_id, f.target_id) for f in model.pools[0].flows)
+    g.add_node(node_id)
+    return any(not model.outgoing(n) for n in nx.descendants(g, node_id) | {node_id})
+
+
+@settings(max_examples=400, deadline=None)
+@given(random_graphs())
+def test_matcher_agrees_with_the_path_enumerating_one(model):
+    pool = model.pools[0]
+    postdom = old_matcher._post_dominators(model, pool)
+    for gw_id, new in m.analyze_regions(model).items():
+        if not reaches_an_exit(model, gw_id):  # change (c)
+            assert isinstance(new, m.NoMatchingMerge)
+            continue
+        try:
+            old = old_matcher._match_region(model, postdom, gw_id)
+        except m.ModelError as exc:
+            old = exc
+        if isinstance(old, m.ModelError):
+            assert type(new) is type(old), (gw_id, old, new)
+        elif isinstance(new, m.MalformedRegion):  # change (b): back edges
+            assert loops_through_a_branch(model, old), (gw_id, old, new)
+        else:
+            assert new == old

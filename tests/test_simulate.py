@@ -579,3 +579,33 @@ def test_load_scenario_empty_document():
 def test_load_scenario_rejects_bad_values(document):
     with pytest.raises((ValueError, m.OutOfRange)):
         sim.load_scenario(document)
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ("[1, 2]", "scenario"),
+        ("tasks: [a, b]", "tasks"),
+        ("tasks: {t1: [1]}", "tasks.t1"),
+        ("tasks: {t1: {outputs: {label: x}}}", "tasks.t1.outputs"),
+        ("tasks: {t1: {outputs: [x]}}", r"tasks.t1.outputs\[0\]"),
+        ("lanes: {l1: 5}", "lanes.l1"),
+        ("tasks: {t1: {outputs: [{payload: x}]}}", r"tasks.t1.outputs\[0\] has no label"),
+        ("tasks: {t1: {reflectionVerdicts: 5}}", "tasks.t1.reflectionVerdicts"),
+        ("just a string", "scenario"),
+    ],
+    ids=[
+        "list-document",
+        "tasks-list",
+        "task-list",
+        "outputs-mapping",
+        "output-string",
+        "lane-int",
+        "output-without-label",
+        "verdicts-int",
+        "bare-string",
+    ],
+)
+def test_load_scenario_rejects_wrong_shapes(document, key):
+    with pytest.raises(ValueError, match=f"^{key}"):
+        sim.load_scenario(document)
