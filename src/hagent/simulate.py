@@ -14,6 +14,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
 
 from hagent import model as m
 
@@ -835,6 +838,35 @@ def execute_region(
 
 # -- scenario files ---------------------------------------------------------
 
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser
+
+    class _ScenarioLoader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml scans and parses; the rest is ``yaml.safe_load``'s Python.
+
+        The Python composer comes before ``CParser`` so that its methods
+        win: libyaml's composer recurses on the C stack and crashes the
+        interpreter on deep nesting, where the Python one raises
+        ``RecursionError``.  The constructor and resolver are the ones
+        ``safe_load`` uses, so the values are the same.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+else:
+    _ScenarioLoader = yaml.SafeLoader
+
+
+def _optional_str(spec: dict, name: str, key: str) -> Optional[str]:
+    value = spec.get(name)
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"{key}.{name} must be a scalar, got {value!r}")
+    return None if value is None else str(value)
+
 
 def _optional_int(spec: dict, key: str) -> Optional[int]:
     value = spec.get(key)
@@ -886,14 +918,22 @@ def _load_output(raw, key: str) -> CandidateOutput:
 def load_scenario(text) -> ScenarioPolicy:
     """Load a scenario from YAML text or bytes.
 
-    Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`), naming
-    the key, when the document or a part of it has the wrong shape, a
-    confidence lies outside 0..100, or a latency, jitter or completeness
-    is not an integer.
+    Raises ``ValueError`` when the text is not valid YAML or nests too
+    deeply.  Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`),
+    naming the key, when the document or a part of it has the wrong
+    shape, a confidence lies outside 0..100, a latency, jitter or
+    completeness is not an integer, or a vote or manager pick is not a
+    scalar.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    raw = _mapping(yaml.safe_load(text), "scenario")
+    try:
+        doc = yaml.load(text, Loader=_ScenarioLoader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"scenario is not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("scenario nests too deeply") from exc
+    raw = _mapping(doc, "scenario")
     per_task = {}
     for task_id, spec in _mapping(raw.get("tasks"), "tasks").items():
         key = f"tasks.{task_id}"
@@ -904,7 +944,7 @@ def load_scenario(text) -> ScenarioPolicy:
                 for i, o in enumerate(_list(spec.get("outputs"), f"{key}.outputs"))
             ],
             reflection_verdicts=_verdicts(spec, key),
-            vote=spec.get("vote"),
+            vote=_optional_str(spec, "vote", key),
             latency_ms=_optional_int(spec, "latencyMs"),
             completeness=_optional_int(spec, "completeness"),
             latency_jitter_ms=_optional_int(spec, "latencyJitterMs"),
@@ -915,8 +955,8 @@ def load_scenario(text) -> ScenarioPolicy:
         spec = _mapping(spec, key)
         per_lane[str(lane_id)] = LaneScript(
             reflection_verdicts=_verdicts(spec, key),
-            vote=spec.get("vote"),
-            manager_pick=spec.get("managerPick"),
+            vote=_optional_str(spec, "vote", key),
+            manager_pick=_optional_str(spec, "managerPick", key),
         )
     return ScenarioPolicy(
         per_task=per_task, per_lane=per_lane, seed=_int(raw.get("seed", 0), "seed")

@@ -27,12 +27,7 @@ def _diag(rule_code, severity, element_id, message) -> Diagnostic:
 
 def _check_pair(model):
     return [
-        _diag(
-            "E-PAIR",
-            Severity.ERROR,
-            gw_id,
-            f"no matching agentic merging gateway: {result}",
-        )
+        _diag("E-PAIR", Severity.ERROR, gw_id, str(result))
         for gw_id, result in m.analyze_regions(model).items()
         if isinstance(result, m.ModelError)
     ]

@@ -110,3 +110,14 @@ def test_simulate_scenario_with_bad_jitter_fails(tmp_path, capsys):
     )
     assert main(["simulate", FIXTURE, "--scenario", str(scenario)]) == EXIT_DOMAIN
     assert "bad scenario file" in capsys.readouterr().err
+
+
+def test_simulate_scenario_with_list_manager_pick_fails(tmp_path, capsys):
+    scenario = tmp_path / "pick.scn.yaml"
+    scenario.write_text(
+        (FIXTURES / "bug-triage.scn.yaml").read_text().replace(
+            "managerPick: patch-B", "managerPick: [patch-B]"
+        )
+    )
+    assert main(["simulate", FIXTURE, "--scenario", str(scenario)]) == EXIT_DOMAIN
+    assert "bad scenario file" in capsys.readouterr().err

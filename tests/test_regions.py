@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hagent import model as m
 from hagent.cli import EXIT_OK, main
 from hagent.validate import validate_model
-from hagent.xmlio import serialize_model
+from hagent.xmlio import Diagnostic, Severity, serialize_model
 
 import old_matcher
 from builders import lane, one_pool_model, region_model, replace_node
@@ -246,6 +246,33 @@ def test_a_gateway_that_reaches_no_exit_has_no_merge():
     loop = replace_flow(model, "f-00002", m.SequenceFlow("f-00002", "t-other", "t-1"))
     assert isinstance(m.analyze_regions(loop)["gw-div"], m.NoMatchingMerge)
     assert "gw-div" not in m._post_dominators(loop, loop.pools[0])
+
+
+@pytest.mark.parametrize(
+    "model, error, message",
+    [
+        (
+            region_model(agentic_merge=False),
+            m.NoMatchingMerge,
+            "no agentic merging gateway post-dominates 'gw-div'",
+        ),
+        (
+            branch_region(
+                tasks=["t-1", "t-2"],
+                edges=[("gw-div", "t-1"), ("t-1", "t-2"), ("t-2", "t-1"), ("t-2", "gw-mrg")],
+            ),
+            m.MalformedRegion,
+            "branch through flow 'f-00004' is not a chain at 't-1': "
+            "branch nodes need one flow in and one flow out",
+        ),
+    ],
+    ids=["no-matching-merge", "malformed-region"],
+)
+def test_e_pair_message_is_the_region_error(model, error, message):
+    assert isinstance(m.analyze_regions(model)["gw-div"], error)
+    assert validate_model(model) == [
+        Diagnostic(Severity.ERROR, "E-PAIR", "gw-div", message)
+    ]
 
 
 def replace_flow(model, flow_id, new_flow):

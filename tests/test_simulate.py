@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -593,6 +600,9 @@ def test_load_scenario_rejects_bad_values(document):
         ("tasks: {t1: {outputs: [{payload: x}]}}", r"tasks.t1.outputs\[0\] has no label"),
         ("tasks: {t1: {reflectionVerdicts: 5}}", "tasks.t1.reflectionVerdicts"),
         ("just a string", "scenario"),
+        ("tasks: {t1: {vote: [a]}}", "tasks.t1.vote"),
+        ("lanes: {l1: {vote: {a: 1}}}", "lanes.l1.vote"),
+        ("lanes: {lane-reviewer: {managerPick: [patch-B]}}", "lanes.lane-reviewer.managerPick"),
     ],
     ids=[
         "list-document",
@@ -604,8 +614,97 @@ def test_load_scenario_rejects_bad_values(document):
         "output-without-label",
         "verdicts-int",
         "bare-string",
+        "task-vote-list",
+        "lane-vote-mapping",
+        "managerPick-list",
     ],
 )
 def test_load_scenario_rejects_wrong_shapes(document, key):
     with pytest.raises(ValueError, match=f"^{key}"):
         sim.load_scenario(document)
+
+
+def test_load_scenario_reads_scalar_votes_as_text():
+    scenario = sim.load_scenario(
+        "tasks: {t1: {vote: 3}}\nlanes: {l1: {vote: yes, managerPick: 1.5}}"
+    )
+    assert scenario.per_task["t1"].vote == "3"
+    assert scenario.per_lane["l1"] == sim.LaneScript(vote="True", manager_pick="1.5")
+
+
+def test_load_scenario_rejects_invalid_yaml():
+    with pytest.raises(ValueError, match="^scenario is not valid YAML") as info:
+        sim.load_scenario("tasks: {a: [")
+    assert isinstance(info.value.__cause__, yaml.YAMLError)
+
+
+def test_load_scenario_rejects_deep_nesting():
+    # in a child interpreter, so that a composer that overflows the C stack
+    # fails this test (by a signal) instead of ending the test run
+    code = (
+        "from hagent import simulate as sim\n"
+        "try:\n"
+        "    sim.load_scenario('a: ' + '[' * 100_000 + ']' * 100_000)\n"
+        "except ValueError as exc:\n"
+        "    print(exc, type(exc.__cause__).__name__)\n"
+    )
+    src = str(Path(sim.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "scenario nests too deeply RecursionError\n"
+
+
+def test_scenario_loader_parses_with_libyaml():
+    if not yaml.__with_libyaml__:
+        assert sim._ScenarioLoader is yaml.SafeLoader
+        return
+    from yaml.composer import Composer
+    from yaml.cyaml import CParser
+
+    assert issubclass(sim._ScenarioLoader, CParser)
+    # the Python composer, not libyaml's recursive one, builds the nodes
+    assert sim._ScenarioLoader.compose_node is Composer.compose_node
+
+
+# text that plain YAML would read as another type or as structure, or that
+# needs quoting or escaping
+_TRICKY = ["yes", "no", "on", "null", "~", "1e3", "0o17", "0x1f", "12", "1.5",
+           "a: b", "- x", "#c", "", " ", "été", "日本語", "emoji \U0001f600"]
+_text = st.one_of(st.sampled_from(_TRICKY), st.text(max_size=6))
+_scalar = st.one_of(_text, st.integers(-5, 500), st.booleans(), st.none())
+_verdicts = st.lists(_text, max_size=3)
+_small = st.integers(0, 10_000)
+_output = st.fixed_dictionaries(
+    {"label": _scalar},
+    optional={"payload": _text, "confidence": st.integers(0, 100),
+              "latencyMs": _small, "completeness": _small},
+)
+_task = st.fixed_dictionaries(
+    {"outputs": st.lists(_output, max_size=3)},
+    optional={"reflectionVerdicts": _verdicts, "vote": _scalar, "latencyMs": _small,
+              "completeness": _small, "latencyJitterMs": _small},
+)
+_lane = st.fixed_dictionaries(
+    {}, optional={"reflectionVerdicts": _verdicts, "vote": _scalar, "managerPick": _scalar}
+)
+_scenario = st.fixed_dictionaries(
+    {},
+    optional={"seed": _small, "tasks": st.dictionaries(_text, _task, max_size=3),
+              "lanes": st.dictionaries(_text, _lane, max_size=3)},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenario, st.booleans(), st.booleans())
+def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_unicode):
+    text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=allow_unicode)
+    assert yaml.load(text, Loader=sim._ScenarioLoader) == document
+    with mock.patch.object(sim, "_ScenarioLoader", yaml.SafeLoader):
+        expected = sim.load_scenario(text)
+    assert sim.load_scenario(text) == expected
