@@ -20,6 +20,8 @@ from yaml.resolver import Resolver
 
 from hagent import model as m
 
+# Token steps a run may take beyond one per node and sequence flow of the
+# model, so that a livelock stops while a large acyclic model runs through.
 STEP_BUDGET = 10_000
 
 ACCEPT = "accept"
@@ -441,8 +443,23 @@ class _Simulation:
         self.cursors = _Cursors()
         self.trace = Trace()
         self.steps = 0
+        self.step_budget = STEP_BUDGET + sum(
+            len(pool.nodes) + len(pool.flows) for pool in model.pools
+        )
         self.joins: Dict[str, int] = {}  # gateway id -> arrivals so far
         self.join_outputs: Dict[str, CandidateOutput] = {}
+        # outgoing agentic message flows by source node, in flow-id order,
+        # and the first incoming agentic one by (source pool, target pool)
+        self.message_out: Dict[str, List[m.MessageFlow]] = {}
+        self.message_back: Dict[Tuple[str, str], m.MessageFlow] = {}
+        for flow in model.message_flows:
+            if flow.agentic is None:
+                continue
+            if flow.agentic.direction is m.MessageFlowDirection.OUTGOING:
+                self.message_out.setdefault(flow.source_id, []).append(flow)
+            else:
+                pools = model.pool_of(flow.source_id).id, model.pool_of(flow.target_id).id
+                self.message_back.setdefault(pools, flow)
 
     # -- helpers ------------------------------------------------------------
 
@@ -602,25 +619,15 @@ class _Simulation:
     def message_region_after(self, node_id: str):
         """Matched (outgoing collaboration, incoming merge) message-flow
         pair anchored at this node, if any."""
-        for out_flow in self.model.message_flows:
-            if (
-                out_flow.source_id == node_id
-                and out_flow.agentic is not None
-                and out_flow.agentic.direction is m.MessageFlowDirection.OUTGOING
-            ):
-                here = self.model.pool_of(node_id)
-                remote = self.model.pool_of(out_flow.target_id)
-                for back in self.model.message_flows:
-                    if (
-                        back.agentic is not None
-                        and back.agentic.direction is m.MessageFlowDirection.INCOMING
-                        and self.model.pool_of(back.source_id).id == remote.id
-                        and self.model.pool_of(back.target_id).id == here.id
-                    ):
-                        return out_flow, back, here, remote
-                self.trace.warnings.append(
-                    f"W-MULTIPOOL {out_flow.id}: no matching incoming merge flow"
-                )
+        for out_flow in self.message_out.get(node_id, ()):
+            here = self.model.pool_of(node_id)
+            remote = self.model.pool_of(out_flow.target_id)
+            back = self.message_back.get((remote.id, here.id))
+            if back is not None:
+                return out_flow, back, here, remote
+            self.trace.warnings.append(
+                f"W-MULTIPOOL {out_flow.id}: no matching incoming merge flow"
+            )
         return None
 
     def execute_message_region(self, out_flow, back_flow, here, remote):
@@ -701,8 +708,8 @@ class _Simulation:
 
     def step(self):
         self.steps += 1
-        if self.steps > STEP_BUDGET:
-            raise StepBudgetExceeded(f"step budget of {STEP_BUDGET} exceeded")
+        if self.steps > self.step_budget:
+            raise StepBudgetExceeded(f"step budget of {self.step_budget} exceeded")
 
     def route_exclusive(self, node, token) -> List[m.SequenceFlow]:
         flows = self.model.outgoing(node.id)
@@ -860,6 +867,98 @@ if yaml.__with_libyaml__:
 else:
     _ScenarioLoader = yaml.SafeLoader
 
+# Deeper documents go to the composing loader, as before; a scenario nests
+# at most 6 deep.
+_MAX_DEPTH = 64
+_STR_TAG = "tag:yaml.org,2002:str"
+# The tags a plain scalar may resolve to, each with its safe_load constructor.
+_SCALAR_CONSTRUCTORS = {
+    tag: SafeConstructor.yaml_constructors[tag]
+    for tag in (
+        f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "timestamp")
+    )
+}
+_HAND_OFF = object()  # the document uses YAML outside the one-pass subset
+_NO_KEY = object()  # an open mapping waits for its next key
+_IN_LIST = object()  # the open collection is a sequence
+
+
+def _build_values(source):
+    """The document of ``source`` as ``yaml.safe_load`` builds it, in one
+    pass over the events of a ``_ScenarioLoader``, with no node tree and no
+    recursion.
+
+    Returns ``_HAND_OFF`` for anything outside the subset built here:
+    anchors, aliases, explicit tags, collection keys, merge (``<<``) and
+    value (``=``) keys, scalars with no safe constructor or whose
+    constructor fails, more than one document, and nesting deeper than
+    ``_MAX_DEPTH``.  Syntax errors propagate as ``yaml.YAMLError``.
+    """
+    loader = _ScenarioLoader(source)
+    try:
+        get_event = loader.get_event
+        get_event()  # StreamStartEvent
+        if type(get_event()) is yaml.StreamEndEvent:
+            return None
+        # after the DocumentStartEvent: each open collection, outermost
+        # first, with its pending key; the first one holds the document
+        stack: list = [[]]
+        keys: list = [_IN_LIST]
+        while True:
+            event = get_event()
+            kind = type(event)
+            if kind is yaml.ScalarEvent:
+                if event.anchor is not None or event.tag is not None:
+                    return _HAND_OFF
+                text = event.value
+                if not event.implicit[0]:  # quoted or block: text
+                    value = text
+                else:  # resolved and built as safe_load does
+                    value = text
+                    tag = loader.resolve(yaml.ScalarNode, text, event.implicit)
+                    if tag != _STR_TAG:
+                        construct = _SCALAR_CONSTRUCTORS.get(tag)
+                        if construct is None:
+                            return _HAND_OFF
+                        try:
+                            value = construct(loader, yaml.ScalarNode(tag, text))
+                        except ValueError:  # e.g. 2001-02-30
+                            return _HAND_OFF
+            elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+                if (
+                    event.anchor is not None
+                    or event.tag is not None
+                    or keys[-1] is _NO_KEY
+                    or len(stack) > _MAX_DEPTH
+                ):
+                    return _HAND_OFF
+                if kind is yaml.MappingStartEvent:
+                    stack.append({})
+                    keys.append(_NO_KEY)
+                else:
+                    stack.append([])
+                    keys.append(_IN_LIST)
+                continue
+            elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                value = stack.pop()
+                keys.pop()
+            elif kind is yaml.DocumentEndEvent:
+                if type(get_event()) is not yaml.StreamEndEvent:
+                    return _HAND_OFF
+                return stack[0][0]
+            else:  # AliasEvent
+                return _HAND_OFF
+            key = keys[-1]
+            if key is _IN_LIST:
+                stack[-1].append(value)
+            elif key is _NO_KEY:
+                keys[-1] = value
+            else:  # a later duplicate key wins, as in SafeConstructor
+                stack[-1][key] = value
+                keys[-1] = _NO_KEY
+    finally:
+        loader.dispose()
+
 
 def _optional_str(spec: dict, name: str, key: str) -> Optional[str]:
     value = spec.get(name)
@@ -870,16 +969,13 @@ def _optional_str(spec: dict, name: str, key: str) -> Optional[str]:
 
 def _optional_int(spec: dict, key: str) -> Optional[int]:
     value = spec.get(key)
-    if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+    return None if value is None else _int(value, key)
 
 
 def _int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _mapping(value, key: str) -> dict:
@@ -921,14 +1017,16 @@ def load_scenario(text) -> ScenarioPolicy:
     Raises ``ValueError`` when the text is not valid YAML or nests too
     deeply.  Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`),
     naming the key, when the document or a part of it has the wrong
-    shape, a confidence lies outside 0..100, a latency, jitter or
-    completeness is not an integer, or a vote or manager pick is not a
-    scalar.
+    shape, a confidence lies outside 0..100, a seed, confidence, latency,
+    jitter or completeness is not an integer, or a vote or manager pick is
+    not a scalar.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
-        doc = yaml.load(text, Loader=_ScenarioLoader)
+        doc = _build_values(text)
+        if doc is _HAND_OFF:
+            doc = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ValueError(f"scenario is not valid YAML: {exc}") from exc
     except RecursionError as exc:

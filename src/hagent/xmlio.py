@@ -10,6 +10,7 @@ opaque blobs and survive round-trips.
 from __future__ import annotations
 
 import enum
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -97,6 +98,8 @@ _REFLECTION_TOKENS = {
     "cross": m.ReflectionKind.CROSS,
     "human": m.ReflectionKind.HUMAN,
 }
+# the lexical space of xsd:integer, with XML whitespace around it
+_XSD_INTEGER = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
 
 
 class _Abort(Exception):
@@ -128,13 +131,12 @@ class _Parser:
         return elem_id
 
     def parse_trust(self, raw: str, element_id) -> Optional[m.TrustScore]:
-        try:
-            value = int(raw)
-        except ValueError:
+        if not _XSD_INTEGER.fullmatch(raw):
             self.error(
                 "E-EXT", element_id, f"trustScore {raw!r} is not an integer"
             )
             return None
+        value = int(raw)
         try:
             return m.mk_trust_score(value)
         except m.OutOfRange:

@@ -330,6 +330,25 @@ def test_step_budget_on_livelock():
         sim.run_simulation(model, sim.ScenarioPolicy())
 
 
+def test_step_budget_grows_with_the_model():
+    tasks = [f"t-{i:05d}" for i in range(12_000)]
+    chain = ["n-start", *tasks, "n-end"]
+    model = one_pool_model(
+        lanes=[lane("lane-a", chain)],
+        nodes=[
+            m.StartEvent("n-start", "lane-a"),
+            *(m.Task(t, "lane-a", t) for t in tasks),
+            m.EndEvent("n-end", "lane-a"),
+        ],
+        flows=[
+            m.SequenceFlow(f"f-{i:05d}", a, b) for i, (a, b) in enumerate(zip(chain, chain[1:]))
+        ],
+    )
+    trace = sim.run_simulation(model, sim.ScenarioPolicy())
+    assert sum(isinstance(e, sim.TaskDone) for e in trace.events) == 12_000
+    assert trace.events[-1] == sim.TokenEnd("n-end")
+
+
 def region_scenario(**lane_scripts):
     return sim.ScenarioPolicy(
         per_task=region_scenario_tasks(),
@@ -571,6 +590,10 @@ def test_load_scenario_empty_document():
         "tasks: {t-1: {outputs: [{label: a}], completeness: 1.5}}",
         "tasks: {t-1: {outputs: [{label: a}], latencyJitterMs: x}}",
         "tasks: {t-1: {outputs: [{label: a}], latencyJitterMs: true}}",
+        "tasks: {t-1: {outputs: [{label: a, confidence: 100.9}]}}",
+        "tasks: {t-1: {outputs: [{label: a, confidence: -0.5}]}}",
+        "tasks: {t-1: {outputs: [{label: a, confidence: true}]}}",
+        "seed: 1.9",
     ],
     ids=[
         "confidence-900",
@@ -581,6 +604,10 @@ def test_load_scenario_empty_document():
         "task-completeness",
         "task-latencyJitterMs",
         "task-latencyJitterMs-bool",
+        "confidence-fraction-above-range",
+        "confidence-negative-fraction",
+        "confidence-bool",
+        "seed-fraction",
     ],
 )
 def test_load_scenario_rejects_bad_values(document):
@@ -704,7 +731,154 @@ _scenario = st.fixed_dictionaries(
 @given(_scenario, st.booleans(), st.booleans())
 def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_unicode):
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=allow_unicode)
-    assert yaml.load(text, Loader=sim._ScenarioLoader) == document
+    raw = yaml.safe_load(text)
+    # with allow_unicode PyYAML's emitter writes NEL (U+0085) unescaped inside
+    # quotes, where YAML reads it as a line break, so only the loaders agree
+    if "\x85" not in text:
+        assert raw == document
+    assert yaml.load(text, Loader=sim._ScenarioLoader) == raw
+    # the one-pass build takes every generated scenario, with the same values
+    doc = sim._build_values(text)
+    assert doc is not sim._HAND_OFF
+    assert repr(doc) == repr(raw)
     with mock.patch.object(sim, "_ScenarioLoader", yaml.SafeLoader):
         expected = sim.load_scenario(text)
     assert sim.load_scenario(text) == expected
+
+
+# -- one-pass build of the YAML document -------------------------------------
+
+# (document, whether the one-pass build hands it to the composing loader)
+_YAML_CORPUS = {
+    "empty-stream": ("", False),
+    "comment-only": ("# only a comment\n", False),
+    "empty-document": ("---\n...\n", False),
+    "null-document": ("~", False),
+    "text-document": ("plain text", False),
+    "integers": ("[1, -3, +4, 0x1f, 0o17, 017, 0b101, 1_000, 1:20, 0]", False),
+    "floats": ("[1e3, 1.0e+3, 2.5, .5, .inf, -.Inf, .nan, .NaN, 1:20.5]", False),
+    "bools-and-nulls": ("[yes, No, on, OFF, y, n, true, False, null, Null, ~, '']", False),
+    "timestamps": (
+        "[2001-12-14, 2001-12-14t21:59:43.10-05:00, 2001-12-14 21:59:43.10,"
+        " 2001-12-15T02:59:43.1Z]",
+        False,
+    ),
+    "duplicate-keys": ("a: 1\na: 2\nb: [x]\nb: {y: z}", False),
+    "equal-scalar-keys": ("{1: a, 1.0: b, true: c, ~: d, 2001-01-01: e}", False),
+    "quoted-and-block": (
+        "a: 'quoted: yes'\nb: \"esc\\tape \\u00e9\"\nc: |\n  block\n  text\n"
+        "d: >-\n  folded\n  text\ne: '12'\n",
+        False,
+    ),
+    "nested-blocks": ("- - - - [deep]\n  - x\n- {}\n- []\n", False),
+    "version-directive": ("%YAML 1.1\n---\na: 1", False),
+    "nesting-at-bound": ("[" * 64 + "]" * 64, False),
+    "nesting-over-bound": ("a: " + "[" * 64 + "]" * 64, True),
+    "value-scalar": ("a: =", True),
+    "value-key": ("=: a", True),
+    "merge-key": ("<<: {a: 1}\nb: 2", True),
+    "merge-scalar": ("a: <<", True),
+    "anchor-and-merge": ("base: &b {x: 1}\nderived:\n  <<: *b\n  y: 2", True),
+    "scalar-alias": ("a: &x 1\nb: *x", True),
+    "recursive-alias": ("&r [*r]", True),
+    "undefined-alias": ("a: *nope", True),
+    "set": ("!!set {a, b}", True),
+    "binary": ("!!binary aGVsbG8=", True),
+    "str-tag": ("a: !!str 12", True),
+    "int-tag": ("a: !!int '12'", True),
+    "non-specific-tag": ("a: ! 12", True),
+    "local-tag": ("a: !custom x", True),
+    "tag-directive": ("%TAG !e! tag:example.com,2000:\n---\na: !e!x 1", True),
+    "python-name": ("!!python/name:os.system x", True),
+    "python-apply": ("!!python/object/apply:os.system [ls]", True),
+    "omap": ("!!omap [a: 1, b: 2]", True),
+    "sequence-key": ("? [a, b]\n: c", True),
+    "flow-sequence-key": ("{[a]: b}", True),
+    "mapping-key": ("? {a: 1}\n: c", True),
+    "two-documents": ("a: 1\n---\nb: 2", True),
+    "trailing-empty-document": ("---\na: 1\n---\n", True),
+    "second-document-broken": ("a: 1\n---\n[", True),
+    "impossible-date": ("a: 2001-02-30", True),
+    "impossible-hour": ("a: 2001-12-14 25:59:43", True),
+    "impossible-offset": ("a: 2001-12-14t21:59:43.10+25:00", True),
+    "unclosed-flow": ("a: [", False),
+    "colon-in-plain": ("a: b: c", False),
+    "unclosed-mapping": ("{a: 1", False),
+    "bad-indent": ("a:\n- b\n c: d", False),
+    "unclosed-quote": ("'x", False),
+    "tab-indent": ("\t- a", False),
+}
+
+
+def _outcome(load, text):
+    # repr tells 1, 1.0 and True apart, and nan from nan
+    try:
+        return "value", repr(load(text))
+    except Exception as exc:
+        return "error", type(exc)
+
+
+def _raw_document(text):
+    doc = sim._build_values(text)
+    return yaml.load(text, Loader=sim._ScenarioLoader) if doc is sim._HAND_OFF else doc
+
+
+@pytest.mark.parametrize(
+    "events", [sim._ScenarioLoader, yaml.SafeLoader], ids=["scenario-loader", "safe-loader"]
+)
+@pytest.mark.parametrize(
+    "text, handed_off", list(_YAML_CORPUS.values()), ids=list(_YAML_CORPUS)
+)
+def test_one_pass_build_agrees_with_safe_loader(text, handed_off, events):
+    expected = _outcome(lambda t: yaml.load(t, Loader=yaml.SafeLoader), text)
+    with mock.patch.object(sim, "_ScenarioLoader", events):
+        assert _outcome(_raw_document, text) == expected
+        try:
+            doc = sim._build_values(text)
+        except yaml.YAMLError as exc:
+            assert not handed_off
+            # the composing loader stops at the same event, with the same error
+            with pytest.raises(yaml.YAMLError) as composed:
+                yaml.load(text, Loader=events)
+            assert str(exc) == str(composed.value)
+        else:
+            assert (doc is sim._HAND_OFF) == handed_off
+
+
+# the shape hagent's benchmark decks write: flow-style outputs, quoted payloads
+_BENCH_SHAPED = """\
+# scenario for deleg-0001
+seed: 4242
+tasks:
+  t-p00-a:
+    outputs:
+      - {label: lbl-3, payload: "remote work 0", confidence: 81}
+      - {label: lbl-4, payload: "remote work 0, revised", confidence: 90}
+    vote: lbl-3
+    latencyMs: 120
+    latencyJitterMs: 15
+    completeness: 70
+    reflectionVerdicts: [revise, accept]
+  t-req:
+    outputs:
+      - {label: ask, payload: "ask: 8 pools", confidence: 100}
+lanes:
+  lane-rev-a:
+    reflectionVerdicts: [accept]
+  lane-mgr-0:
+    managerPick: lbl-3
+    vote: lbl-4
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [(FIXTURES / "bug-triage.scn.yaml").read_bytes(), _BENCH_SHAPED],
+    ids=["fixture", "bench-shaped"],
+)
+def test_scenarios_load_without_hand_off(text):
+    expected = yaml.safe_load(text)
+    with mock.patch.object(yaml, "load", side_effect=AssertionError("handed off")):
+        scenario = sim.load_scenario(text)
+        assert sim._build_values(text) == expected
+    assert scenario.per_task and scenario.per_lane

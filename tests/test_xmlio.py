@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from hagent import model as m
 from hagent.xmlio import (
     BPMN_NS,
@@ -242,6 +244,42 @@ def test_non_integer_trust():
     )
     assert result.model is None
     assert codes(result) == ["E-EXT"]
+
+
+def lane_trust_result(raw):
+    return parse_model(
+        minimal(
+            lane_ext=(
+                "<bpmn:extensionElements>"
+                f'<hagent:agentProfile role="worker" trustScore="{raw}"/>'
+                "</bpmn:extensionElements>"
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, value",
+    [("42", 42), ("+42", 42), ("-0", 0), ("007", 7), (" 42 ", 42), ("&#9;42&#13;&#10;", 42)],
+    ids=["plain", "plus", "minus-zero", "leading-zeros", "spaces", "tab-cr-lf"],
+)
+def test_trust_accepts_xsd_integers(raw, value):
+    result = lane_trust_result(raw)
+    assert not result.diagnostics
+    assert result.model.index["lane-a"].agentic.trust == m.TrustScore(value)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["4_2", "\u0664\u0662", "42.0", "", " ", "4 2", "0x2a", "&#160;42", "+-4", "\uff14\uff12"],
+    ids=["underscore", "arabic-indic", "decimal", "empty", "blank", "inner-space",
+         "hex", "nbsp", "two-signs", "fullwidth"],
+)
+def test_trust_rejects_what_xsd_integer_rejects(raw):
+    result = lane_trust_result(raw)
+    assert result.model is None
+    assert codes(result) == ["E-EXT"]
+    assert "is not an integer" in result.diagnostics[0].message
 
 
 def test_unknown_merge_strategy():
