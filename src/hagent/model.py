@@ -366,21 +366,33 @@ class ProcessModel:
 def _normalize_pools(pools) -> Tuple[Pool, ...]:
     out = []
     for pool in pools:
-        out.append(
-            replace(
-                pool,
-                lanes=tuple(
-                    sorted(
-                        (replace(l, node_ids=tuple(sorted(l.node_ids))) for l in pool.lanes),
-                        key=lambda l: l.id,
-                    )
-                ),
-                nodes=tuple(sorted(pool.nodes, key=lambda n: n.id)),
-                flows=tuple(sorted(pool.flows, key=lambda f: f.id)),
-                artifacts=tuple(sorted(pool.artifacts, key=lambda a: a.id)),
+        lanes = tuple(sorted(map(_normalize_lane, pool.lanes), key=_by_id))
+        nodes = tuple(sorted(pool.nodes, key=_by_id))
+        flows = tuple(sorted(pool.flows, key=_by_id))
+        artifacts = tuple(sorted(pool.artifacts, key=_by_id))
+        # sorted() is stable, so a pool already in canonical order comes
+        # back with the same members, and the tuple comparisons stop at
+        # identity without calling __eq__
+        if (
+            lanes != pool.lanes
+            or nodes != pool.nodes
+            or flows != pool.flows
+            or artifacts != pool.artifacts
+        ):
+            pool = replace(
+                pool, lanes=lanes, nodes=nodes, flows=flows, artifacts=artifacts
             )
-        )
-    return tuple(sorted(out, key=lambda p: p.id))
+        out.append(pool)
+    return tuple(sorted(out, key=_by_id))
+
+
+def _normalize_lane(lane: Lane) -> Lane:
+    node_ids = tuple(sorted(lane.node_ids))
+    return lane if node_ids == lane.node_ids else replace(lane, node_ids=node_ids)
+
+
+def _by_id(element) -> str:
+    return element.id
 
 
 def _build_index(model: ProcessModel) -> dict:

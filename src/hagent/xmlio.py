@@ -57,33 +57,35 @@ def _tag(elem) -> str:
     return elem.tag.rsplit("}", 1)[-1]
 
 
-def _ns(elem) -> str:
-    return elem.tag[1:].split("}", 1)[0] if elem.tag.startswith("{") else ""
+# Element names as ElementTree spells them, "{namespace}local", so that the
+# reader dispatches on ``elem.tag`` as it is and tests a namespace with one
+# ``startswith`` (expat refuses a namespace name holding "}", the separator).
+# ``_tag`` only serves messages.
+_BPMN = f"{{{BPMN_NS}}}"
+_HAGENT = f"{{{HAGENT_NS}}}"
+_DEFINITIONS = _BPMN + "definitions"
+_PROCESS = _BPMN + "process"
+_COLLABORATION = _BPMN + "collaboration"
+_PARTICIPANT = _BPMN + "participant"
+_PARTICIPANT_MULTIPLICITY = _BPMN + "participantMultiplicity"
+_MESSAGE_FLOW = _BPMN + "messageFlow"
+_LANE_SET = _BPMN + "laneSet"
+_LANE = _BPMN + "lane"
+_FLOW_NODE_REF = _BPMN + "flowNodeRef"
+_EXTENSION_ELEMENTS = _BPMN + "extensionElements"
+_CONDITION_EXPRESSION = _BPMN + "conditionExpression"
+_TEXT = _BPMN + "text"
 
-
-_NODE_TAGS = {
-    "startEvent",
-    "endEvent",
-    "task",
-    "subProcess",
-    "exclusiveGateway",
-    "inclusiveGateway",
-    "parallelGateway",
-    "complexGateway",
+_PLAIN_NODES = {
+    "startEvent": m.StartEvent,
+    "endEvent": m.EndEvent,
+    "subProcess": m.SubProcess,
 }
 _GATEWAY_KINDS = {
     "exclusiveGateway": m.GatewayKind.EXCLUSIVE,
     "inclusiveGateway": m.GatewayKind.INCLUSIVE,
     "parallelGateway": m.GatewayKind.PARALLEL,
     "complexGateway": m.GatewayKind.COMPLEX,
-}
-_SUPPORTED_PROCESS_TAGS = _NODE_TAGS | {
-    "laneSet",
-    "sequenceFlow",
-    "textAnnotation",
-    "association",
-    "group",
-    "dataObject",
 }
 
 _COLLAB_TOKENS = {
@@ -106,10 +108,28 @@ class _Abort(Exception):
     """Internal: element-level parse failure already recorded."""
 
 
+class _PoolParts:
+    """What the walk over one process collects, in document order."""
+
+    __slots__ = ("node_lane", "lanes", "nodes", "flows", "artifacts", "opaque")
+
+    def __init__(self):
+        self.node_lane: dict = {}  # node id -> id of the lane that lists it
+        self.lanes: List[m.Lane] = []
+        self.nodes: List[m.FlowNode] = []
+        self.flows: List[m.SequenceFlow] = []
+        self.artifacts: List[m.Artifact] = []
+        self.opaque: List[str] = []
+
+
 class _Parser:
     def __init__(self):
         self.diagnostics: List[Diagnostic] = []
         self.seen_ids: dict = {}
+        # (qualified tag, attribute items) -> value of a hagent extension
+        # element that decoded without a diagnostic; values are frozen, so
+        # the elements that repeat across a model share them
+        self.decoded: dict = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -161,18 +181,33 @@ class _Parser:
 
     # -- extension elements -------------------------------------------------
 
-    def split_extensions(self, elem, element_id):
+    def split_extensions(self, elem):
         """Return (hagent extension elements, opaque foreign fragments)."""
+        if not len(elem):
+            return (), ()
         hagent, foreign = [], []
-        for ext in elem.findall(f"{{{BPMN_NS}}}extensionElements"):
-            for child in ext:
-                if _ns(child) == HAGENT_NS:
-                    hagent.append(child)
-                else:
-                    foreign.append(
-                        ET.tostring(child, encoding="unicode").strip()
-                    )
+        for ext in elem:
+            if ext.tag == _EXTENSION_ELEMENTS:
+                for child in ext:
+                    if child.tag.startswith(_HAGENT):
+                        hagent.append(child)
+                    else:
+                        foreign.append(
+                            ET.tostring(child, encoding="unicode").strip()
+                        )
         return hagent, tuple(foreign)
+
+    def decode(self, elem, element_id, read):
+        """``read(self, elem, element_id)``, memoized on the element's tag and
+        attributes.  A decoder returns None exactly when it reported an
+        error, so only clean decodes are kept and every error path reruns."""
+        key = (elem.tag, tuple(elem.attrib.items()))
+        value = self.decoded.get(key)
+        if value is None:
+            value = read(self, elem, element_id)
+            if value is not None:
+                self.decoded[key] = value
+        return value
 
     def parse_profile(self, elem, element_id) -> Optional[m.AgentProfile]:
         if not self.check_attrs(elem, element_id, {"role", "trustScore"}):
@@ -201,16 +236,18 @@ class _Parser:
             return None
         kind = _REFLECTION_TOKENS[mode]
         max_rounds = 3  # default when absent: no termination bound is standard
-        if "maxRounds" in elem.attrib:
+        raw = elem.get("maxRounds")
+        if raw is not None:
+            # xsd:positiveInteger: the xsd:integer form, then > 0
             try:
-                max_rounds = int(elem.get("maxRounds"))
-            except ValueError:
+                max_rounds = int(raw) if _XSD_INTEGER.fullmatch(raw) else 0
+            except ValueError:  # more digits than int() converts
                 max_rounds = 0
             if max_rounds < 1:
                 self.error(
                     "E-EXT",
                     element_id,
-                    f"maxRounds {elem.get('maxRounds')!r} must be a positive integer",
+                    f"maxRounds {raw!r} must be a positive integer",
                 )
                 return None
         reviewers: Tuple[str, ...] = ()
@@ -238,44 +275,54 @@ class _Parser:
             human_lane_id=human,
         )
 
+    def parse_uncertainty(self, elem, element_id) -> Optional[m.TrustScore]:
+        if not self.check_attrs(elem, element_id, {"trustScore"}):
+            return None
+        return self.parse_trust(elem.get("trustScore", ""), element_id)
+
+    def parse_collaboration(self, elem, element_id):
+        if not self.check_attrs(elem, element_id, {"mode"}):
+            return None
+        mode = elem.get("mode")
+        if mode not in _COLLAB_TOKENS:
+            self.error(
+                "E-EXT", element_id, f"unknown collaboration mode {mode!r}"
+            )
+            return None
+        return _COLLAB_TOKENS[mode]
+
+    def parse_merge(self, elem, element_id):
+        if not self.check_attrs(elem, element_id, {"strategy"}):
+            return None
+        strategy = elem.get("strategy")
+        if strategy not in _MERGE_TOKENS:
+            self.error(
+                "E-EXT", element_id, f"unknown merge strategy {strategy!r}"
+            )
+            return None
+        return _MERGE_TOKENS[strategy]
+
     def parse_collab_ext(self, elems, element_id, kind=None):
         """Collaboration/merge extension of a gateway of the given ``kind``,
         or of a message flow when ``kind`` is None."""
         host = "message flow" if kind is None else "gateway"
         collaboration = merge = trust = None
         for elem in elems:
-            tag = _tag(elem)
-            if tag == "collaboration":
-                if not self.check_attrs(elem, element_id, {"mode"}):
-                    return None
-                mode = elem.get("mode")
-                if mode not in _COLLAB_TOKENS:
-                    self.error(
-                        "E-EXT", element_id, f"unknown collaboration mode {mode!r}"
-                    )
-                    return None
-                collaboration = _COLLAB_TOKENS[mode]
-            elif tag == "merge":
-                if not self.check_attrs(elem, element_id, {"strategy"}):
-                    return None
-                strategy = elem.get("strategy")
-                if strategy not in _MERGE_TOKENS:
-                    self.error(
-                        "E-EXT", element_id, f"unknown merge strategy {strategy!r}"
-                    )
-                    return None
-                merge = _MERGE_TOKENS[strategy]
-            elif tag == "uncertainty":
-                if not self.check_attrs(elem, element_id, {"trustScore"}):
-                    return None
-                trust = self.parse_trust(elem.get("trustScore", ""), element_id)
-                if trust is None:
-                    return None
-            else:
+            local, read = _extension(elem)
+            if local not in ("collaboration", "merge", "uncertainty"):
                 self.error(
-                    "E-EXT", element_id, f"unexpected <hagent:{tag}> on {host}"
+                    "E-EXT", element_id, f"unexpected <hagent:{local}> on {host}"
                 )
                 return None
+            value = self.decode(elem, element_id, read)
+            if value is None:
+                return None
+            if local == "collaboration":
+                collaboration = value
+            elif local == "merge":
+                merge = value
+            else:
+                trust = value
         if (collaboration is None) == (merge is None):
             if kind is None:
                 message = "agentic message flow requires exactly one of collaboration/merge"
@@ -315,164 +362,150 @@ class _Parser:
     def parse_task_ext(self, elems, element_id) -> Optional[m.AgenticTaskInfo]:
         reflection = trust = None
         for elem in elems:
-            tag = _tag(elem)
-            if tag == "reflection":
-                reflection = self.parse_reflection(elem, element_id)
-                if reflection is None:
-                    return None
-            elif tag == "uncertainty":
-                if not self.check_attrs(elem, element_id, {"trustScore"}):
-                    return None
-                trust = self.parse_trust(elem.get("trustScore", ""), element_id)
-                if trust is None:
-                    return None
-            else:
+            local, read = _extension(elem)
+            if local not in ("reflection", "uncertainty"):
                 self.error(
-                    "E-EXT", element_id, f"unexpected <hagent:{tag}> on task"
+                    "E-EXT", element_id, f"unexpected <hagent:{local}> on task"
                 )
                 return None
+            value = self.decode(elem, element_id, read)
+            if value is None:
+                return None
+            if local == "reflection":
+                reflection = value
+            else:
+                trust = value
         return m.AgenticTaskInfo(reflection=reflection, trust=trust)
 
     # -- processes ----------------------------------------------------------
 
     def parse_process(self, proc, pool_id, pool_name, multi_instance) -> Optional[m.Pool]:
-        lanes: List[m.Lane] = []
-        nodes: List[m.FlowNode] = []
-        flows: List[m.SequenceFlow] = []
-        artifacts: List[m.Artifact] = []
-        opaque: List[str] = []
-        node_lane: dict = {}
-
-        for lane_set in proc.findall(f"{{{BPMN_NS}}}laneSet"):
-            for lane_elem in lane_set.findall(f"{{{BPMN_NS}}}lane"):
-                try:
-                    lane_id = self.require_id(lane_elem, "lane")
-                except _Abort:
-                    continue
-                hagent, foreign = self.split_extensions(lane_elem, lane_id)
-                profile = None
-                for ext in hagent:
-                    if _tag(ext) == "agentProfile":
-                        profile = self.parse_profile(ext, lane_id)
-                    else:
-                        self.error(
-                            "E-EXT",
-                            lane_id,
-                            f"unexpected <hagent:{_tag(ext)}> on lane",
-                        )
-                node_ids = []
-                for ref in lane_elem.findall(f"{{{BPMN_NS}}}flowNodeRef"):
-                    node_id = (ref.text or "").strip()
-                    if node_id:
-                        node_ids.append(node_id)
-                        node_lane[node_id] = lane_id
-                lanes.append(
-                    m.Lane(
-                        id=lane_id,
-                        name=lane_elem.get("name", ""),
-                        node_ids=tuple(node_ids),
-                        agentic=profile,
-                        foreign_ext=foreign,
-                    )
-                )
+        parts = _PoolParts()
+        for lane_set in proc.findall(_LANE_SET):
+            for lane_elem in lane_set.findall(_LANE):
+                self.read_lane(lane_elem, parts)
 
         for elem in proc:
-            if _ns(elem) != BPMN_NS:
-                opaque.append(ET.tostring(elem, encoding="unicode").strip())
+            entry = _PROCESS_CHILDREN.get(elem.tag)
+            if entry is None:
+                self.keep_opaque(elem, parts)
                 continue
-            tag = _tag(elem)
-            if tag == "laneSet":
-                continue
-            if tag not in _SUPPORTED_PROCESS_TAGS:
-                self.warning(
-                    "W-UNSUPPORTED",
-                    elem.get("id"),
-                    f"unsupported element <bpmn:{tag}> preserved opaquely",
-                )
-                opaque.append(ET.tostring(elem, encoding="unicode").strip())
+            local, read = entry
+            if read is None:  # the laneSet, read above
                 continue
             try:
-                elem_id = self.require_id(elem, tag)
+                elem_id = self.require_id(elem, local)
             except _Abort:
                 continue
-            if tag in _NODE_TAGS:
-                lane_id = node_lane.get(elem_id)
-                if lane_id is None:
-                    self.error(
-                        "E-REF", elem_id, f"node {elem_id!r} is in no lane"
-                    )
-                    continue
-                hagent, foreign = self.split_extensions(elem, elem_id)
-                name = elem.get("name", "")
-                if tag == "startEvent":
-                    node: m.FlowNode = m.StartEvent(
-                        elem_id, lane_id, name, foreign
-                    )
-                    self._reject_ext(hagent, elem_id, tag)
-                elif tag == "endEvent":
-                    node = m.EndEvent(elem_id, lane_id, name, foreign)
-                    self._reject_ext(hagent, elem_id, tag)
-                elif tag == "task":
-                    agentic = None
-                    if hagent:
-                        agentic = self.parse_task_ext(hagent, elem_id)
-                        if agentic is None:
-                            continue
-                    node = m.Task(elem_id, lane_id, name, foreign, agentic)
-                elif tag == "subProcess":
-                    node = m.SubProcess(elem_id, lane_id, name, foreign)
-                    self._reject_ext(hagent, elem_id, tag)
-                else:
-                    kind = _GATEWAY_KINDS[tag]
-                    agentic = None
-                    if hagent:
-                        agentic = self.parse_collab_ext(hagent, elem_id, kind)
-                        if agentic is None:
-                            continue
-                    node = m.Gateway(
-                        elem_id, lane_id, name, foreign, kind, agentic
-                    )
-                nodes.append(node)
-            elif tag == "sequenceFlow":
-                condition = None
-                cond_elem = elem.find(f"{{{BPMN_NS}}}conditionExpression")
-                if cond_elem is not None:
-                    condition = (cond_elem.text or "").strip() or None
-                flows.append(
-                    m.SequenceFlow(
-                        id=elem_id,
-                        source_id=elem.get("sourceRef", ""),
-                        target_id=elem.get("targetRef", ""),
-                        condition=condition,
-                    )
-                )
-            elif tag == "textAnnotation":
-                text_elem = elem.find(f"{{{BPMN_NS}}}text")
-                text = (text_elem.text or "") if text_elem is not None else ""
-                artifacts.append(m.Annotation(elem_id, text))
-            elif tag == "association":
-                artifacts.append(
-                    m.Association(
-                        elem_id,
-                        elem.get("sourceRef", ""),
-                        elem.get("targetRef", ""),
-                    )
-                )
-            elif tag == "group":
-                artifacts.append(m.Group(elem_id, elem.get("name", "")))
-            elif tag == "dataObject":
-                artifacts.append(m.DataObject(elem_id, elem.get("name", "")))
+            read(self, elem, elem_id, local, parts)
 
         return m.Pool(
             id=pool_id,
             name=pool_name,
-            lanes=tuple(lanes),
-            nodes=tuple(nodes),
-            flows=tuple(flows),
-            artifacts=tuple(artifacts),
+            lanes=tuple(parts.lanes),
+            nodes=tuple(parts.nodes),
+            flows=tuple(parts.flows),
+            artifacts=tuple(parts.artifacts),
             multi_instance=multi_instance,
-            opaque_elements=tuple(opaque),
+            opaque_elements=tuple(parts.opaque),
         )
+
+    def keep_opaque(self, elem, parts):
+        """Keep a process child that has no reader, warning if it is BPMN."""
+        if elem.tag.startswith(_BPMN):
+            self.warning(
+                "W-UNSUPPORTED",
+                elem.get("id"),
+                f"unsupported element <bpmn:{_tag(elem)}> preserved opaquely",
+            )
+        parts.opaque.append(ET.tostring(elem, encoding="unicode").strip())
+
+    def read_lane(self, lane_elem, parts):
+        try:
+            lane_id = self.require_id(lane_elem, "lane")
+        except _Abort:
+            return
+        hagent, foreign = self.split_extensions(lane_elem)
+        profile = None
+        for ext in hagent:
+            local, read = _extension(ext)
+            if local == "agentProfile":
+                profile = self.decode(ext, lane_id, read)
+            else:
+                self.error(
+                    "E-EXT", lane_id, f"unexpected <hagent:{local}> on lane"
+                )
+        node_ids = []
+        for ref in lane_elem.findall(_FLOW_NODE_REF):
+            node_id = (ref.text or "").strip()
+            if node_id:
+                node_ids.append(node_id)
+                parts.node_lane[node_id] = lane_id
+        parts.lanes.append(
+            m.Lane(
+                id=lane_id,
+                name=lane_elem.get("name", ""),
+                node_ids=tuple(node_ids),
+                agentic=profile,
+                foreign_ext=foreign,
+            )
+        )
+
+    def read_node(self, elem, elem_id, local, parts):
+        lane_id = parts.node_lane.get(elem_id)
+        if lane_id is None:
+            self.error("E-REF", elem_id, f"node {elem_id!r} is in no lane")
+            return
+        hagent, foreign = self.split_extensions(elem)
+        name = elem.get("name", "")
+        if local == "task":
+            agentic = None
+            if hagent:
+                agentic = self.parse_task_ext(hagent, elem_id)
+                if agentic is None:
+                    return
+            node: m.FlowNode = m.Task(elem_id, lane_id, name, foreign, agentic)
+        elif local in _GATEWAY_KINDS:
+            kind = _GATEWAY_KINDS[local]
+            agentic = None
+            if hagent:
+                agentic = self.parse_collab_ext(hagent, elem_id, kind)
+                if agentic is None:
+                    return
+            node = m.Gateway(elem_id, lane_id, name, foreign, kind, agentic)
+        else:
+            node = _PLAIN_NODES[local](elem_id, lane_id, name, foreign)
+            self._reject_ext(hagent, elem_id, local)
+        parts.nodes.append(node)
+
+    def read_sequence_flow(self, elem, elem_id, local, parts):
+        condition = None
+        cond_elem = elem.find(_CONDITION_EXPRESSION)
+        if cond_elem is not None:
+            condition = (cond_elem.text or "").strip() or None
+        parts.flows.append(
+            m.SequenceFlow(
+                id=elem_id,
+                source_id=elem.get("sourceRef", ""),
+                target_id=elem.get("targetRef", ""),
+                condition=condition,
+            )
+        )
+
+    def read_artifact(self, elem, elem_id, local, parts):
+        if local == "textAnnotation":
+            text_elem = elem.find(_TEXT)
+            text = (text_elem.text or "") if text_elem is not None else ""
+            artifact: m.Artifact = m.Annotation(elem_id, text)
+        elif local == "association":
+            artifact = m.Association(
+                elem_id, elem.get("sourceRef", ""), elem.get("targetRef", "")
+            )
+        elif local == "group":
+            artifact = m.Group(elem_id, elem.get("name", ""))
+        else:
+            artifact = m.DataObject(elem_id, elem.get("name", ""))
+        parts.artifacts.append(artifact)
 
     def _reject_ext(self, hagent, elem_id, tag):
         for ext in hagent:
@@ -483,6 +516,41 @@ class _Parser:
             )
 
 
+# qualified tag -> (local name, reader) of a child of a process; the
+# laneSet was read first
+_PROCESS_CHILDREN = {
+    _BPMN + local: (local, read)
+    for local, read in {
+        **dict.fromkeys(_PLAIN_NODES, _Parser.read_node),
+        "task": _Parser.read_node,
+        **dict.fromkeys(_GATEWAY_KINDS, _Parser.read_node),
+        "sequenceFlow": _Parser.read_sequence_flow,
+        "textAnnotation": _Parser.read_artifact,
+        "association": _Parser.read_artifact,
+        "group": _Parser.read_artifact,
+        "dataObject": _Parser.read_artifact,
+        "laneSet": None,
+    }.items()
+}
+
+# qualified tag -> (local name, decoder) of a hagent extension element
+_EXTENSIONS = {
+    _HAGENT + local: (local, read)
+    for local, read in {
+        "agentProfile": _Parser.parse_profile,
+        "reflection": _Parser.parse_reflection,
+        "uncertainty": _Parser.parse_uncertainty,
+        "collaboration": _Parser.parse_collaboration,
+        "merge": _Parser.parse_merge,
+    }.items()
+}
+
+
+def _extension(elem):
+    """(local name, decoder or None) of a hagent extension element."""
+    return _EXTENSIONS.get(elem.tag) or (_tag(elem), None)
+
+
 def parse_model(document) -> ParseResult:
     """Parse BPMN XML bytes into a model; total, never raises."""
     parser = _Parser()
@@ -490,28 +558,28 @@ def parse_model(document) -> ParseResult:
         document = document.encode("utf-8")
     try:
         root = ET.fromstring(document)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # LookupError and ValueError: an encoding in the XML declaration
+        # that Python does not know or expat cannot use
         parser.error("E-XML", None, f"malformed XML: {exc}")
         return ParseResult(None, parser.diagnostics)
-    if root.tag != f"{{{BPMN_NS}}}definitions":
+    if root.tag != _DEFINITIONS:
         parser.error(
             "E-XML", None, f"root element is <{_tag(root)}>, expected definitions"
         )
         return ParseResult(None, parser.diagnostics)
 
     model_id = root.get("id") or "definitions"
-    processes = {
-        p.get("id"): p for p in root.findall(f"{{{BPMN_NS}}}process")
-    }
+    processes = {p.get("id"): p for p in root.findall(_PROCESS)}
 
     pools: List[m.Pool] = []
     message_flows: List[m.MessageFlow] = []
     opaque_top: List[str] = []
     used_processes = set()
 
-    collaborations = root.findall(f"{{{BPMN_NS}}}collaboration")
+    collaborations = root.findall(_COLLABORATION)
     for collab in collaborations:
-        for part in collab.findall(f"{{{BPMN_NS}}}participant"):
+        for part in collab.findall(_PARTICIPANT):
             try:
                 pool_id = parser.require_id(part, "participant")
             except _Abort:
@@ -524,20 +592,18 @@ def parse_model(document) -> ParseResult:
                 )
                 continue
             used_processes.add(proc_ref)
-            multi = (
-                part.find(f"{{{BPMN_NS}}}participantMultiplicity") is not None
-            )
+            multi = part.find(_PARTICIPANT_MULTIPLICITY) is not None
             pool = parser.parse_process(
                 proc, pool_id, part.get("name", ""), multi
             )
             if pool is not None:
                 pools.append(pool)
-        for flow_elem in collab.findall(f"{{{BPMN_NS}}}messageFlow"):
+        for flow_elem in collab.findall(_MESSAGE_FLOW):
             try:
                 flow_id = parser.require_id(flow_elem, "messageFlow")
             except _Abort:
                 continue
-            hagent, foreign = parser.split_extensions(flow_elem, flow_id)
+            hagent, foreign = parser.split_extensions(flow_elem)
             agentic = None
             if hagent:
                 agentic = parser.parse_collab_ext(hagent, flow_id)
@@ -565,10 +631,9 @@ def parse_model(document) -> ParseResult:
             pools.append(pool)
 
     for elem in root:
-        tag_ns = _ns(elem)
-        if tag_ns == BPMN_NS and _tag(elem) in ("process", "collaboration"):
+        if elem.tag == _PROCESS or elem.tag == _COLLABORATION:
             continue
-        if tag_ns == BPMN_NS:
+        if elem.tag.startswith(_BPMN):
             parser.warning(
                 "W-UNSUPPORTED",
                 elem.get("id"),
@@ -600,45 +665,55 @@ def parse_model(document) -> ParseResult:
 # -- serialization ----------------------------------------------------------
 
 
-def _attr(name, value) -> str:
-    return f" {name}={quoteattr(value)}"
+def quote_attr(value: str, escape_other=quoteattr) -> str:
+    """``value`` quoted as an XML attribute value.
+
+    A value that holds none of ``& < > " \\n \\r \\t`` is returned between
+    double quotes as it is, which is what ``quoteattr`` returns for it; any
+    other value goes to ``escape_other``.
+    """
+    if (
+        "&" in value
+        or "<" in value
+        or ">" in value
+        or '"' in value
+        or "\n" in value
+        or "\r" in value
+        or "\t" in value
+    ):
+        return escape_other(value)
+    return f'"{value}"'
 
 
-class _Writer:
-    def __init__(self):
-        self.lines: List[str] = []
-
-    def line(self, depth, text):
-        self.lines.append("  " * depth + text)
-
-    def raw_block(self, depth, fragment):
-        for frag_line in fragment.splitlines():
-            self.lines.append("  " * depth + frag_line)
+def _write_raw(lines, indent, fragment):
+    for frag_line in fragment.splitlines():
+        lines.append(indent + frag_line)
 
 
-def _write_extensions(w, depth, ext_lines, foreign):
+def _write_extensions(lines, indent, ext_lines, foreign):
     if not ext_lines and not foreign:
         return
-    w.line(depth, "<bpmn:extensionElements>")
+    lines.append(indent + "<bpmn:extensionElements>")
+    inner = indent + "  "
     for ext in ext_lines:
-        w.line(depth + 1, ext)
+        lines.append(inner + ext)
     for frag in foreign:
-        w.raw_block(depth + 1, frag)
-    w.line(depth, "</bpmn:extensionElements>")
+        _write_raw(lines, inner, frag)
+    lines.append(indent + "</bpmn:extensionElements>")
 
 
 def _trust_attr(trust) -> str:
-    return _attr("trustScore", str(trust.value)) if trust else ""
+    return f" trustScore={quote_attr(str(trust.value))}" if trust else ""
 
 
 def _gateway_ext_lines(info) -> List[str]:
     lines = []
     if info.collaboration is not None:
         lines.append(
-            f"<hagent:collaboration{_attr('mode', info.collaboration.value)}/>"
+            f"<hagent:collaboration mode={quote_attr(info.collaboration.value)}/>"
         )
     if info.merge is not None:
-        lines.append(f"<hagent:merge{_attr('strategy', info.merge.value)}/>")
+        lines.append(f"<hagent:merge strategy={quote_attr(info.merge.value)}/>")
     if info.trust is not None:
         lines.append(f"<hagent:uncertainty{_trust_attr(info.trust)}/>")
     return lines
@@ -646,107 +721,101 @@ def _gateway_ext_lines(info) -> List[str]:
 
 def serialize_model(model: m.ProcessModel) -> bytes:
     """Serialize a model to canonical, byte-deterministic BPMN XML."""
-    w = _Writer()
-    w.line(0, '<?xml version="1.0" encoding="UTF-8"?>')
-    w.line(
-        0,
+    q = quote_attr
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         f'<bpmn:definitions xmlns:bpmn="{BPMN_NS}" '
-        f'xmlns:hagent="{HAGENT_NS}"{_attr("id", model.id)}>',
-    )
-    w.line(1, f'<bpmn:collaboration{_attr("id", model.id + "-collab")}>')
+        f'xmlns:hagent="{HAGENT_NS}" id={q(model.id)}>',
+        f"  <bpmn:collaboration id={q(model.id + '-collab')}>",
+    ]
+    add = lines.append
     for pool in model.pools:
         open_tag = (
-            f"<bpmn:participant{_attr('id', pool.id)}"
-            f"{_attr('name', pool.name)}{_attr('processRef', pool.id + '-process')}"
+            f"    <bpmn:participant id={q(pool.id)} name={q(pool.name)} "
+            f"processRef={q(pool.id + '-process')}"
         )
         if pool.multi_instance:
-            w.line(2, open_tag + ">")
-            w.line(3, "<bpmn:participantMultiplicity/>")
-            w.line(2, "</bpmn:participant>")
+            add(open_tag + ">")
+            add("      <bpmn:participantMultiplicity/>")
+            add("    </bpmn:participant>")
         else:
-            w.line(2, open_tag + "/>")
+            add(open_tag + "/>")
     for flow in model.message_flows:
         open_tag = (
-            f"<bpmn:messageFlow{_attr('id', flow.id)}"
-            f"{_attr('sourceRef', flow.source_id)}{_attr('targetRef', flow.target_id)}"
+            f"    <bpmn:messageFlow id={q(flow.id)} "
+            f"sourceRef={q(flow.source_id)} targetRef={q(flow.target_id)}"
         )
         ext_lines = _gateway_ext_lines(flow.agentic) if flow.agentic else []
         if ext_lines or flow.foreign_ext:
-            w.line(2, open_tag + ">")
-            _write_extensions(w, 3, ext_lines, flow.foreign_ext)
-            w.line(2, "</bpmn:messageFlow>")
+            add(open_tag + ">")
+            _write_extensions(lines, "      ", ext_lines, flow.foreign_ext)
+            add("    </bpmn:messageFlow>")
         else:
-            w.line(2, open_tag + "/>")
-    w.line(1, "</bpmn:collaboration>")
+            add(open_tag + "/>")
+    add("  </bpmn:collaboration>")
 
     for pool in model.pools:
-        w.line(1, f'<bpmn:process{_attr("id", pool.id + "-process")}>')
-        w.line(2, f'<bpmn:laneSet{_attr("id", pool.id + "-lanes")}>')
+        add(f"  <bpmn:process id={q(pool.id + '-process')}>")
+        add(f"    <bpmn:laneSet id={q(pool.id + '-lanes')}>")
         for lane in pool.lanes:
-            w.line(3, f"<bpmn:lane{_attr('id', lane.id)}{_attr('name', lane.name)}>")
+            add(f"      <bpmn:lane id={q(lane.id)} name={q(lane.name)}>")
             ext_lines = []
             if lane.agentic is not None:
                 ext_lines.append(
-                    f"<hagent:agentProfile{_attr('role', lane.agentic.role)}"
+                    f"<hagent:agentProfile role={q(lane.agentic.role)}"
                     f"{_trust_attr(lane.agentic.trust)}/>"
                 )
-            _write_extensions(w, 4, ext_lines, lane.foreign_ext)
+            _write_extensions(lines, "        ", ext_lines, lane.foreign_ext)
             for node_id in lane.node_ids:
-                w.line(4, f"<bpmn:flowNodeRef>{escape(node_id)}</bpmn:flowNodeRef>")
-            w.line(3, "</bpmn:lane>")
-        w.line(2, "</bpmn:laneSet>")
+                add(f"        <bpmn:flowNodeRef>{escape(node_id)}</bpmn:flowNodeRef>")
+            add("      </bpmn:lane>")
+        add("    </bpmn:laneSet>")
 
         for node in pool.nodes:
-            w.lines.extend(_node_lines(node))
+            _write_node(lines, node)
         for flow in pool.flows:
             open_tag = (
-                f"<bpmn:sequenceFlow{_attr('id', flow.id)}"
-                f"{_attr('sourceRef', flow.source_id)}{_attr('targetRef', flow.target_id)}"
+                f"    <bpmn:sequenceFlow id={q(flow.id)} "
+                f"sourceRef={q(flow.source_id)} targetRef={q(flow.target_id)}"
             )
             if flow.condition is not None:
-                w.line(2, open_tag + ">")
-                w.line(
-                    3,
-                    f"<bpmn:conditionExpression>{escape(flow.condition)}"
-                    "</bpmn:conditionExpression>",
+                add(open_tag + ">")
+                add(
+                    f"      <bpmn:conditionExpression>{escape(flow.condition)}"
+                    "</bpmn:conditionExpression>"
                 )
-                w.line(2, "</bpmn:sequenceFlow>")
+                add("    </bpmn:sequenceFlow>")
             else:
-                w.line(2, open_tag + "/>")
+                add(open_tag + "/>")
         for artifact in pool.artifacts:
             if isinstance(artifact, m.Annotation):
-                w.line(2, f"<bpmn:textAnnotation{_attr('id', artifact.id)}>")
-                w.line(3, f"<bpmn:text>{escape(artifact.text)}</bpmn:text>")
-                w.line(2, "</bpmn:textAnnotation>")
+                add(f"    <bpmn:textAnnotation id={q(artifact.id)}>")
+                add(f"      <bpmn:text>{escape(artifact.text)}</bpmn:text>")
+                add("    </bpmn:textAnnotation>")
             elif isinstance(artifact, m.Association):
-                w.line(
-                    2,
-                    f"<bpmn:association{_attr('id', artifact.id)}"
-                    f"{_attr('sourceRef', artifact.source_id)}"
-                    f"{_attr('targetRef', artifact.target_id)}/>",
+                add(
+                    f"    <bpmn:association id={q(artifact.id)} "
+                    f"sourceRef={q(artifact.source_id)} "
+                    f"targetRef={q(artifact.target_id)}/>"
                 )
             elif isinstance(artifact, m.Group):
-                w.line(
-                    2,
-                    f"<bpmn:group{_attr('id', artifact.id)}{_attr('name', artifact.name)}/>",
-                )
+                add(f"    <bpmn:group id={q(artifact.id)} name={q(artifact.name)}/>")
             elif isinstance(artifact, m.DataObject):
-                w.line(
-                    2,
-                    f"<bpmn:dataObject{_attr('id', artifact.id)}{_attr('name', artifact.name)}/>",
+                add(
+                    f"    <bpmn:dataObject id={q(artifact.id)} name={q(artifact.name)}/>"
                 )
         for frag in pool.opaque_elements:
-            w.raw_block(2, frag)
-        w.line(1, "</bpmn:process>")
+            _write_raw(lines, "    ", frag)
+        add("  </bpmn:process>")
 
     for frag in model.opaque_elements:
-        w.raw_block(1, frag)
-    w.line(0, "</bpmn:definitions>")
-    return ("\n".join(w.lines) + "\n").encode("utf-8")
+        _write_raw(lines, "  ", frag)
+    add("</bpmn:definitions>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _node_lines(node: m.FlowNode) -> List[str]:
-    w = _Writer()
+def _write_node(lines, node: m.FlowNode):
+    """Append the lines of one flow node to ``lines``."""
     if isinstance(node, m.StartEvent):
         tag = "startEvent"
     elif isinstance(node, m.EndEvent):
@@ -759,34 +828,33 @@ def _node_lines(node: m.FlowNode) -> List[str]:
         tag = node.kind.value + "Gateway"
     else:  # pragma: no cover
         raise TypeError(f"unknown node type {type(node)!r}")
-    open_tag = f"<bpmn:{tag}{_attr('id', node.id)}"
+    open_tag = f"    <bpmn:{tag} id={quote_attr(node.id)}"
     if node.name:
-        open_tag += _attr("name", node.name)
+        open_tag += f" name={quote_attr(node.name)}"
 
     ext_lines: List[str] = []
     if isinstance(node, m.Task) and node.agentic is not None:
         info = node.agentic
         if info.reflection is not None:
             refl = info.reflection
-            attrs = _attr("mode", refl.kind.value)
-            attrs += _attr("maxRounds", str(refl.max_rounds))
+            attrs = f" mode={quote_attr(refl.kind.value)}"
+            attrs += f" maxRounds={quote_attr(str(refl.max_rounds))}"
             if refl.reviewer_lane_ids:
-                attrs += _attr("reviewers", ",".join(refl.reviewer_lane_ids))
+                attrs += f" reviewers={quote_attr(','.join(refl.reviewer_lane_ids))}"
             if refl.human_lane_id:
-                attrs += _attr("human", refl.human_lane_id)
+                attrs += f" human={quote_attr(refl.human_lane_id)}"
             ext_lines.append(f"<hagent:reflection{attrs}/>")
         if info.trust is not None:
             ext_lines.append(f"<hagent:uncertainty{_trust_attr(info.trust)}/>")
     elif isinstance(node, m.Gateway) and node.agentic is not None:
-        ext_lines.extend(_gateway_ext_lines(node.agentic))
+        ext_lines = _gateway_ext_lines(node.agentic)
 
     if ext_lines or node.foreign_ext:
-        w.line(2, open_tag + ">")
-        _write_extensions(w, 3, ext_lines, node.foreign_ext)
-        w.line(2, f"</bpmn:{tag}>")
+        lines.append(open_tag + ">")
+        _write_extensions(lines, "      ", ext_lines, node.foreign_ext)
+        lines.append(f"    </bpmn:{tag}>")
     else:
-        w.line(2, open_tag + "/>")
-    return w.lines
+        lines.append(open_tag + "/>")
 
 
 # -- extension-definition schema -------------------------------------------

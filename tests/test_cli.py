@@ -121,3 +121,16 @@ def test_simulate_scenario_with_list_manager_pick_fails(tmp_path, capsys):
     )
     assert main(["simulate", FIXTURE, "--scenario", str(scenario)]) == EXIT_DOMAIN
     assert "bad scenario file" in capsys.readouterr().err
+
+
+def test_validate_unknown_encoding_fails_without_traceback(tmp_path, capsys):
+    path = tmp_path / "utf9.bpmn"
+    path.write_bytes(
+        (FIXTURES / "bug-triage.bpmn").read_bytes().replace(b"UTF-8", b"UTF-9", 1)
+    )
+    assert main(["validate", str(path)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["E-XML -: malformed XML: unknown encoding: UTF-9"]
+    assert captured.err == ""
+    assert main(["render", str(path), "-o", str(tmp_path / "out.svg")]) == EXIT_DOMAIN
+    assert "unknown encoding: UTF-9" in capsys.readouterr().err

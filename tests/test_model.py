@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -126,6 +127,47 @@ def test_normalization_makes_order_irrelevant():
         ],
     )
     assert a == b
+
+
+def _two_lane_pool(**reversed_parts):
+    """A canonical two-lane pool, with the named parts given in reverse."""
+    parts = dict(
+        lanes=(lane("lane-a", ["n-start", "t-1"]), lane("lane-b", ["n-end"])),
+        nodes=(
+            m.EndEvent("n-end", "lane-b"),
+            m.StartEvent("n-start", "lane-a"),
+            m.Task("t-1", "lane-a"),
+        ),
+        flows=(
+            m.SequenceFlow("f-01", "n-start", "t-1"),
+            m.SequenceFlow("f-02", "t-1", "n-end"),
+        ),
+        artifacts=(m.Group("g-1"), m.Group("g-2")),
+    )
+    for name in reversed_parts:
+        if name == "node_ids":
+            first = parts["lanes"][0]
+            parts["lanes"] = (
+                replace(first, node_ids=first.node_ids[::-1]),
+            ) + parts["lanes"][1:]
+        else:
+            parts[name] = parts[name][::-1]
+    return m.Pool(id="pool-1", **parts)
+
+
+@pytest.mark.parametrize("part", ["lanes", "node_ids", "nodes", "flows", "artifacts"])
+def test_normalization_sorts_each_part_on_its_own(part):
+    canonical = m.ProcessModel(id="model-1", pools=(_two_lane_pool(),))
+    shuffled = m.ProcessModel(id="model-1", pools=(_two_lane_pool(**{part: True}),))
+    assert shuffled == canonical
+    assert shuffled.pools[0].lanes[0].node_ids == ("n-start", "t-1")
+    assert [ln.id for ln in shuffled.pools[0].lanes] == ["lane-a", "lane-b"]
+
+
+def test_normalization_keeps_a_canonical_pool_as_it_is():
+    pool = _two_lane_pool()
+    model = m.ProcessModel(id="model-1", pools=(pool,))
+    assert model.pools[0] is pool
 
 
 def test_queries():

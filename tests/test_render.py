@@ -129,3 +129,38 @@ def test_uncertainty_scores_rendered_as_percent():
     svg = render_svg(fixture_model()).decode()
     assert "80%" in svg  # task uncertainty
     assert "90%" in svg  # reviewer lane trust
+
+
+def test_ids_with_quotes_stay_well_formed():
+    reflection = m.AgenticTaskInfo(reflection=m.ReflectionMode(m.ReflectionKind.SELF))
+    model = one_pool_model(
+        lanes=[lane('lane"a', ['n"start', 't"1', "n-end"], role="worker")],
+        nodes=[
+            m.StartEvent('n"start', 'lane"a'),
+            m.Task('t"1', 'lane"a', "Work", agentic=reflection),
+            m.EndEvent("n-end", 'lane"a'),
+        ],
+        flows=[
+            m.SequenceFlow('f"1', 'n"start', 't"1'),
+            m.SequenceFlow("f-2", 't"1', "n-end"),
+        ],
+        pool_id='pool"p',
+    )
+    svg = render_svg(model)
+    root = ET.fromstring(svg)
+    ids = {e.get("data-element-id") for e in root.iter()}
+    assert {'pool"p', 'lane"a', 'n"start', 't"1', 'f"1'} <= ids
+    assert markers(svg) == {'lane"a': "w", 't"1': "s"}
+
+
+def test_ids_without_quotes_keep_their_escaping():
+    # '&', '<' and '>' are escaped and other characters written as they are,
+    # as render has always done
+    model = one_pool_model(
+        lanes=[lane("lane-a", ["a&b<c>'d"])],
+        nodes=[m.Task("a&b<c>'d", "lane-a")],
+        flows=[],
+    )
+    svg = render_svg(model)
+    assert b'data-element-id="a&amp;b&lt;c&gt;\'d"' in svg
+    assert "a&b<c>'d" in {e.get("data-element-id") for e in ET.fromstring(svg).iter()}

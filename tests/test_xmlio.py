@@ -123,6 +123,41 @@ def test_reflection_max_rounds_defaults_to_three():
     assert result.model.index["t-1"].agentic.reflection.max_rounds == 3
 
 
+def max_rounds_result(raw):
+    return parse_model(
+        minimal(
+            task_ext=(
+                "<bpmn:extensionElements>"
+                f'<hagent:reflection mode="self" maxRounds="{raw}"/>'
+                "</bpmn:extensionElements>"
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, value", [("5", 5), (" +3 ", 3), ("007", 7)], ids=["plain", "plus-spaces", "leading-zeros"]
+)
+def test_max_rounds_accepts_positive_integers(raw, value):
+    result = max_rounds_result(raw)
+    assert not result.diagnostics
+    assert result.model.index["t-1"].agentic.reflection.max_rounds == value
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["1_0", "\u0664", "\uff15", "0", "-1", "1.0", "9" * 5000],
+    ids=["underscore", "arabic-indic", "fullwidth", "zero", "negative", "decimal",
+         "over-int-digit-limit"],
+)
+def test_max_rounds_rejects_what_positive_integer_rejects(raw):
+    result = max_rounds_result(raw)
+    assert result.model is None
+    assert [(d.code, d.element_id, d.message) for d in result.diagnostics] == [
+        ("E-EXT", "t-1", f"maxRounds {raw!r} must be a positive integer")
+    ]
+
+
 def test_human_reflection_requires_lane_ref():
     result = parse_model(
         minimal(
@@ -189,6 +224,22 @@ def test_malformed_xml():
     result = parse_model(b"<bpmn:definitions")
     assert result.model is None
     assert codes(result) == ["E-XML"]
+
+
+@pytest.mark.parametrize(
+    "encoding, message",
+    [
+        ("UTF-9", "unknown encoding: UTF-9"),
+        ("rot13", "'rot13' is not a text encoding; use codecs.decode() to handle arbitrary codecs"),
+        ("utf-32", "multi-byte encodings are not supported"),
+    ],
+)
+def test_unusable_declared_encoding(encoding, message):
+    result = parse_model(minimal().replace("UTF-8", encoding, 1))
+    assert result.model is None
+    assert [(d.code, d.element_id, d.message) for d in result.diagnostics] == [
+        ("E-XML", None, f"malformed XML: {message}")
+    ]
 
 
 def test_wrong_root_element():

@@ -1,0 +1,353 @@
+"""The XML reader and writer against the ones they replaced, and byte pins.
+
+``old_xmlio`` keeps the reader and writer as they were before the
+qualified-tag walk and the quoting fast path.  Mutated copies of the
+fixture must give the same model, the same diagnostics (code, element id,
+message, order) and the same serialized bytes from both.  The pins hold
+the fixtures' XML, SVG and the extension schema to the bytes they had
+before.
+"""
+
+import hashlib
+import re
+import xml.etree.ElementTree as ET
+from dataclasses import replace
+from xml.sax.saxutils import quoteattr
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import old_xmlio
+from hagent import model as m
+from hagent.render import render_svg
+from hagent.xmlio import (
+    BPMN_NS,
+    HAGENT_NS,
+    export_extension_schema,
+    parse_model,
+    quote_attr,
+    serialize_model,
+)
+
+from conftest import FIXTURES
+
+FIXTURE_BYTES = (FIXTURES / "bug-triage.bpmn").read_bytes()
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+# -- byte pins ---------------------------------------------------------------
+
+PINS = {
+    "bug-triage": (
+        "0b5f73daa21c49afb396efb3f48f5b0f9dae9296fb83711ecaaf7bbba6540341",
+        "8e6720ab4bb69477b004dbcb92a84052f5bd54c4b3f9047a83ae166ee57083e5",
+    ),
+    "broken-no-manager": (
+        "bfef74d506765cc4bc6abb040982df8f58642c214445d3d2e392e4e8d4ad9b71",
+        "9be2f7bd58fc7631c6903978a0eb3c9b8ed7af65675b36f19ba53ba1ab3a942d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_fixture_xml_and_svg_bytes_are_pinned(name):
+    model = parse_model((FIXTURES / f"{name}.bpmn").read_bytes()).model
+    xml_sha, svg_sha = PINS[name]
+    assert sha256(serialize_model(model)) == xml_sha
+    assert sha256(render_svg(model)) == svg_sha
+
+
+def test_extension_schema_bytes_are_pinned():
+    assert (
+        sha256(export_extension_schema())
+        == "90b551c466749398dc0fee7fa1331120c817788674e4cb3ca60a2dcfb7fc7891"
+    )
+
+
+# -- the reader against the old one --------------------------------------------
+
+_XSD_INTEGER = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
+
+
+def _loose_max_rounds(document):
+    """Whether some maxRounds is an int() literal outside xsd:integer, which
+    the old reader took and the new one rejects."""
+    try:
+        root = ET.fromstring(document)
+    except (ET.ParseError, LookupError, ValueError):
+        return False
+    for elem in root.iter():
+        raw = elem.get("maxRounds")
+        if raw is not None and not _XSD_INTEGER.fullmatch(raw):
+            try:
+                int(raw)
+            except ValueError:
+                continue
+            return True
+    return False
+
+
+def assert_readers_agree(document):
+    new = parse_model(document)
+    try:
+        old = old_xmlio.parse_model(document)
+    except (LookupError, ValueError) as exc:
+        # the old reader let an unusable declared encoding escape
+        assert new.model is None
+        assert [(d.code, d.element_id, d.message) for d in new.diagnostics] == [
+            ("E-XML", None, f"malformed XML: {exc}")
+        ]
+        return
+    if _loose_max_rounds(document):
+        return
+    assert new.diagnostics == old.diagnostics
+    assert new.model == old.model
+    if new.model is not None:
+        assert serialize_model(new.model) == old_xmlio.serialize_model(old.model)
+
+
+def _fragment(body, lane_ext=""):
+    """The fixture with ``body`` appended to its process."""
+    text = FIXTURE_BYTES.decode("utf-8")
+    text = text.replace("</bpmn:process>", f"{body}\n  </bpmn:process>")
+    if lane_ext:
+        text = text.replace(
+            '<bpmn:lane id="lane-user" name="User">',
+            f'<bpmn:lane id="lane-user" name="User">{lane_ext}',
+        )
+    return text.encode("utf-8")
+
+
+EXT = "<bpmn:extensionElements>{}</bpmn:extensionElements>"
+
+
+def _replace(old, new):
+    assert old in FIXTURE_BYTES
+    return FIXTURE_BYTES.replace(old, new, 1)
+
+
+CORPUS = {
+    "fixture": FIXTURE_BYTES,
+    # expat refuses "}" (ElementTree's separator) inside a namespace name
+    "brace-in-namespace": _fragment(f'<o:task xmlns:o="{BPMN_NS}}}x" id="t-o"/>'),
+    "hagent-element-in-another-namespace": _fragment(
+        "", lane_ext=EXT.format('<o:agentProfile xmlns:o="urn:o" role="worker"/>')
+    ),
+    "unknown-hagent-element-on-lane": _fragment(
+        "", lane_ext=EXT.format('<hagent:reflection mode="self"/>')
+    ),
+    "foreign-extension": _fragment(
+        "", lane_ext=EXT.format('<x:color xmlns:x="urn:x" v="1"><x:a/></x:color>')
+    ),
+    "two-extension-blocks": _fragment(
+        "",
+        lane_ext=EXT.format('<hagent:agentProfile role="worker"/>')
+        + EXT.format('<hagent:agentProfile role="manager" trustScore="7"/>'),
+    ),
+    "artifacts-and-unsupported": _fragment(
+        '<bpmn:textAnnotation id="ta"><bpmn:text>a &amp; b</bpmn:text></bpmn:textAnnotation>'
+        '<bpmn:association id="as" sourceRef="ta" targetRef="start-bug"/>'
+        '<bpmn:group id="g" name="G"/><bpmn:dataObject id="d"/>'
+        '<bpmn:callActivity id="ca"/><x:foo xmlns:x="urn:x"/>'
+        '<bpmn:task name="no id"/><bpmn:group id="g"/>'
+    ),
+    "repeated-decodes-then-a-bad-one": _fragment(
+        "",
+        lane_ext=EXT.format('<hagent:agentProfile role="manager" trustScore="90" extra="1"/>'),
+    ),
+    "reflection-on-gateway": _replace(
+        b'<hagent:collaboration mode="role"/>',
+        b'<hagent:collaboration mode="role"/><hagent:reflection mode="self"/>',
+    ),
+    "trust-on-gateway": _replace(
+        b'<hagent:merge strategy="role.leaderDriven"/>',
+        b'<hagent:uncertainty trustScore="40"/><hagent:merge strategy="role.leaderDriven"/>',
+    ),
+    "merge-on-task": _replace(
+        b'<hagent:uncertainty trustScore="80"/>',
+        b'<hagent:uncertainty trustScore="80"/><hagent:merge strategy="voting.majority"/>',
+    ),
+    "extension-on-start-event": _replace(
+        b'<bpmn:startEvent id="start-bug" name="Bug observed"/>',
+        b'<bpmn:startEvent id="start-bug">' + EXT.format(
+            '<hagent:uncertainty trustScore="1"/><hagent:foo/>'
+        ).encode() + b"</bpmn:startEvent>",
+    ),
+    "agentic-exclusive-gateway": _replace(
+        b'<bpmn:exclusiveGateway id="gw-validity" name="Valid bug?"/>',
+        b'<bpmn:exclusiveGateway id="gw-validity">'
+        + EXT.format('<hagent:collaboration mode="voting"/>').encode()
+        + b"</bpmn:exclusiveGateway>",
+    ),
+    "message-flows": _replace(
+        b"</bpmn:collaboration>",
+        b'<bpmn:messageFlow id="mf-1" sourceRef="task-resolve" targetRef="start-bug">'
+        + EXT.format(
+            '<hagent:collaboration mode="debate"/><hagent:uncertainty trustScore="3"/>'
+        ).encode()
+        + b'</bpmn:messageFlow><bpmn:messageFlow id="mf-2" sourceRef="a" targetRef="b">'
+        + EXT.format(
+            '<hagent:collaboration mode="debate"/><hagent:merge strategy="role.composed"/>'
+        ).encode()
+        + b"</bpmn:messageFlow></bpmn:collaboration>",
+    ),
+    "unknown-encoding": FIXTURE_BYTES.replace(b"UTF-8", b"UTF-9", 1),
+    "multi-byte-encoding": FIXTURE_BYTES.replace(b"UTF-8", b"utf-32", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_readers_agree_on_the_corpus(name):
+    assert_readers_agree(CORPUS[name])
+
+
+# Tokens to insert: markup of every kind the reader handles, attributes,
+# odd namespaces and declarations, and bytes that break well-formedness.
+ELEMENT_TOKENS = [
+    b'<bpmn:task id="t-new"/>',
+    b'<bpmn:subProcess id="sp"/>',
+    b'<bpmn:inclusiveGateway id="ig"/>',
+    b'<bpmn:complexGateway id="cg"/>',
+    b'<bpmn:textAnnotation id="ta"><bpmn:text>x</bpmn:text></bpmn:textAnnotation>',
+    b'<bpmn:association id="as" sourceRef="start-bug" targetRef="ta"/>',
+    b'<bpmn:group id="g"/>',
+    b'<bpmn:dataObject id="d" name="D"/>',
+    b'<bpmn:callActivity id="u"/>',
+    b"<bpmn:participantMultiplicity/>",
+    b'<bpmn:messageFlow id="mf" sourceRef="task-resolve" targetRef="start-bug"/>',
+    b'<bpmn:flowNodeRef>t-new</bpmn:flowNodeRef>',
+    b"<bpmn:extensionElements>",
+    b"</bpmn:extensionElements>",
+    b'<hagent:merge strategy="voting.majority"/>',
+    b'<hagent:collaboration mode="voting"/>',
+    b'<hagent:uncertainty trustScore="5"/>',
+    b'<hagent:reflection mode="cross" reviewers="lane-user, lane-coder-a"/>',
+    b'<hagent:reflection mode="human" human="lane-user" maxRounds="2"/>',
+    b'<hagent:agentProfile role="worker"/>',
+    b'<x:foo xmlns:x="urn:x"><x:bar/></x:foo>',
+    b"<!-- c -->",
+    b"<?pi x?>",
+]
+ATTRIBUTE_TOKENS = [
+    b' id="start-bug"',
+    b' id=""',
+    b' name="a &amp; &quot;b&quot;"',
+    b' name="tab&#9;nl&#10;"',
+    b' trustScore="x"',
+    b' trustScore="101"',
+    b' maxRounds="0"',
+    b' maxRounds=" +2 "',
+    b' mode="debate"',
+    b' strategy="role.composed"',
+    b' reviewers=""',
+    b' processRef="nowhere"',
+    b' foo="1"',
+    f' xmlns:bpmn="{BPMN_NS}}}x"'.encode(),
+    f' xmlns:hagent="{HAGENT_NS}}}y"'.encode(),
+    b' xmlns:hagent="urn:other"',
+]
+RAW_TOKENS = [
+    b"<", b">", b"/", b'"', b"&", b"}", b"=", b" ", b"\n", b"\xff", b"\x00",
+    b'<?xml version="1.0" encoding="UTF-9"?>',
+    b'<?xml version="1.0" encoding="utf-32"?>',
+]
+
+
+def _offsets(data, pattern):
+    return [match.start() for match in re.finditer(pattern, data)]
+
+
+STRUCTURED_OPS = [
+    "insert-element", "insert-attribute", "delete-element", "delete-attribute",
+    "splice-line",
+]
+BLIND_OPS = ["delete-bytes", "insert-raw", "splice-bytes"]
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """The fixture after 1-3 mutations: byte deletions, token insertions and
+    splices, each either blind or on markup boundaries (so that a fair share
+    of the results is still well-formed)."""
+    data = bytes(FIXTURE_BYTES)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(3 * STRUCTURED_OPS + BLIND_OPS))
+        if op == "delete-bytes":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + data[at + draw(st.integers(1, 24)):]
+        elif op in ("delete-element", "delete-attribute"):
+            pattern = rb"<[^<>/]*/>" if op == "delete-element" else rb' [\w:]+="[^"]*"'
+            spans = [match.span() for match in re.finditer(pattern, data)]
+            if spans:
+                start, end = draw(st.sampled_from(spans))
+                data = data[:start] + data[end:]
+        elif op.startswith("insert"):
+            if op == "insert-element":
+                token = draw(st.sampled_from(ELEMENT_TOKENS))
+                places = [at + 1 for at in _offsets(data, rb">")]
+            elif op == "insert-attribute":
+                token = draw(st.sampled_from(ATTRIBUTE_TOKENS))
+                places = _offsets(data, rb" (?:id|role|mode|strategy|trustScore)=")
+            else:
+                token = draw(st.sampled_from(RAW_TOKENS))
+                places = []
+            at = draw(st.sampled_from(places)) if places else draw(
+                st.integers(0, len(data))
+            )
+            data = data[:at] + token + data[at:]
+        else:
+            if op == "splice-bytes":
+                start = draw(st.integers(0, len(data)))
+                piece = data[start:start + draw(st.integers(1, 200))]
+                at = draw(st.integers(0, len(data)))
+            else:  # copy a whole line (often a whole element) to a line start
+                lines = data.splitlines(keepends=True)
+                piece = draw(st.sampled_from(lines)) if lines else b""
+                starts = [0] + [at + 1 for at in _offsets(data, rb"\n")]
+                at = draw(st.sampled_from(starts))
+            data = data[:at] + piece + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_readers_agree_on_mutated_fixtures(document):
+    assert_readers_agree(document)
+
+
+# -- the writer against the old one --------------------------------------------
+
+_text = st.text(
+    alphabet=st.sampled_from(list("ab -_'\"&<>\n\r\té中")), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_text, min_size=4, max_size=4), st.integers(0, 100))
+def test_writers_agree_on_names_that_need_quoting(names, trust):
+    model = parse_model(FIXTURE_BYTES).model
+    pool = model.pools[0]
+    lanes = tuple(replace(ln, name=names[0]) for ln in pool.lanes)
+    nodes = tuple(replace(n, name=names[1]) for n in pool.nodes)
+    lanes = lanes[:1] + (
+        replace(
+            lanes[1],
+            agentic=m.AgentProfile(role=names[2] or "worker", trust=m.TrustScore(trust)),
+        ),
+    ) + lanes[2:]
+    pool = replace(pool, name=names[3], lanes=lanes, nodes=nodes)
+    model = replace(model, pools=(pool,))
+    assert serialize_model(model) == old_xmlio.serialize_model(model)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["plain-id", "", "it's", 'say "hi"', "a & b", "<x>", "tab\there", "cr\rlf\n",
+     "both ' and \""],
+)
+def test_quote_attr_matches_quoteattr(value):
+    assert quote_attr(value) == quoteattr(value)
