@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Tuple
 from xml.sax.saxutils import escape
 
 from hagent import model as m
-from hagent.xmlio import quote_attr
 
 
 class MissingLayout(Exception):
@@ -112,14 +111,9 @@ class _Svg:
         self.body.append("  " + line)
 
 
-def _escaped(value: str) -> str:
-    # what escape() has always given, with '"' escaped too
-    return '"' + escape(value, {'"': "&quot;"}) + '"'
-
-
-def _attr(value: str) -> str:
-    """``value`` quoted as an SVG attribute value."""
-    return quote_attr(value, _escaped)
+def _escape_attr(value: str) -> str:
+    """``value`` escaped for a double-quoted attribute: escape() plus '"'."""
+    return escape(value, {'"': "&quot;"})
 
 
 def _use_agent(svg, x, y):
@@ -129,8 +123,8 @@ def _use_agent(svg, x, y):
 def _code_text(svg, x, y, code, element_id):
     svg.add(
         f'<text class="code" x="{x:g}" y="{y:g}" '
-        f"data-hagent-code={_attr(code)} "
-        f"data-element-id={_attr(element_id)}>{escape(code)}</text>"
+        f'data-hagent-code="{_escape_attr(code)}" '
+        f'data-element-id="{_escape_attr(element_id)}">{escape(code)}</text>'
     )
 
 
@@ -178,7 +172,7 @@ def render_svg(
     svg = _Svg()
     for pool, top, h in pool_boxes:
         svg.add(
-            f'<rect class="pool-box" data-element-id={_attr(pool.id)} '
+            f'<rect class="pool-box" data-element-id="{_escape_attr(pool.id)}" '
             f'x="{LEFT_MARGIN:g}" y="{top:g}" width="{width - LEFT_MARGIN - 20:g}" '
             f'height="{h:g}"/>'
         )
@@ -193,7 +187,7 @@ def render_svg(
 
     for lane, pool, top in lane_boxes:
         svg.add(
-            f'<rect class="lane-box" data-element-id={_attr(lane.id)} '
+            f'<rect class="lane-box" data-element-id="{_escape_attr(lane.id)}" '
             f'x="{LEFT_MARGIN + 28:g}" y="{top:g}" '
             f'width="{width - LEFT_MARGIN - 48:g}" height="{LANE_HEIGHT:g}"/>'
         )
@@ -210,7 +204,7 @@ def render_svg(
             if lane.agentic.trust is not None:
                 svg.add(
                     f'<text class="trust" x="{trust_x:g}" y="{name_y:g}" '
-                    f"data-element-id={_attr(lane.id)}>"
+                    f'data-element-id="{_escape_attr(lane.id)}">'
                     f"{lane.agentic.trust.value}%</text>"
                 )
             marker_x = trust_x + 30
@@ -223,7 +217,7 @@ def render_svg(
             x1, y1, _, _ = geom[flow.source_id]
             x2, y2, w2, _ = geom[flow.target_id]
             svg.add(
-                f'<line class="flow" data-element-id={_attr(flow.id)} '
+                f'<line class="flow" data-element-id="{_escape_attr(flow.id)}" '
                 f'x1="{x1:g}" y1="{y1:g}" x2="{x2 - w2 / 2 - 2:g}" y2="{y2:g}"/>'
             )
             if flow.condition is not None:
@@ -238,7 +232,7 @@ def render_svg(
         x1, y1, _, _ = geom[flow.source_id]
         x2, y2, _, _ = geom[flow.target_id]
         svg.add(
-            f'<line class="msgflow" data-element-id={_attr(flow.id)} '
+            f'<line class="msgflow" data-element-id="{_escape_attr(flow.id)}" '
             f'x1="{x1:g}" y1="{y1:g}" x2="{x2:g}" y2="{y2:g}"/>'
         )
         if flow.agentic is not None:
@@ -255,20 +249,20 @@ def render_svg(
     for pool in model.pools:
         for node in pool.nodes:
             cx, cy, w, h = geom[node.id]
-            eid = _attr(node.id)
+            eid = _escape_attr(node.id)
             if isinstance(node, m.StartEvent):
                 svg.add(
-                    f'<circle class="shape" data-element-id={eid} '
+                    f'<circle class="shape" data-element-id="{eid}" '
                     f'cx="{cx:g}" cy="{cy:g}" r="{EVENT_R:g}"/>'
                 )
             elif isinstance(node, m.EndEvent):
                 svg.add(
-                    f'<circle class="shape" data-element-id={eid} '
+                    f'<circle class="shape" data-element-id="{eid}" '
                     f'cx="{cx:g}" cy="{cy:g}" r="{EVENT_R:g}" stroke-width="3"/>'
                 )
             elif isinstance(node, (m.Task, m.SubProcess)):
                 svg.add(
-                    f'<rect class="shape" data-element-id={eid} '
+                    f'<rect class="shape" data-element-id="{eid}" '
                     f'x="{cx - w / 2:g}" y="{cy - h / 2:g}" width="{w:g}" '
                     f'height="{h:g}" rx="8"/>'
                 )
@@ -282,7 +276,7 @@ def render_svg(
                     if node.agentic.trust is not None:
                         svg.add(
                             f'<text class="trust" x="{cx + w / 2 - 16:g}" '
-                            f'y="{cy - h / 2 + 12:g}" data-element-id={eid}>'
+                            f'y="{cy - h / 2 + 12:g}" data-element-id="{eid}">'
                             f"{node.agentic.trust.value}%</text>"
                         )
                     if node.agentic.reflection is not None:
@@ -294,7 +288,7 @@ def render_svg(
                     f"{cx:g},{cy + GATE_R:g} {cx - GATE_R:g},{cy:g}"
                 )
                 svg.add(
-                    f'<polygon class="shape" data-element-id={eid} points="{pts}"/>'
+                    f'<polygon class="shape" data-element-id="{eid}" points="{pts}"/>'
                 )
                 inner = {"exclusive": "x", "parallel": "+", "inclusive": "o", "complex": "*"}
                 svg.add(
@@ -306,7 +300,7 @@ def render_svg(
                     if node.agentic.trust is not None:
                         svg.add(
                             f'<text class="trust" x="{cx:g}" y="{cy - GATE_R - 6:g}" '
-                            f'data-element-id={eid}>{node.agentic.trust.value}%</text>'
+                            f'data-element-id="{eid}">{node.agentic.trust.value}%</text>'
                         )
                     if node.agentic.collaboration is not None:
                         code = COLLABORATION_CODES[node.agentic.collaboration]

@@ -75,6 +75,13 @@ _FLOW_NODE_REF = _BPMN + "flowNodeRef"
 _EXTENSION_ELEMENTS = _BPMN + "extensionElements"
 _CONDITION_EXPRESSION = _BPMN + "conditionExpression"
 _TEXT = _BPMN + "text"
+_TASK = _BPMN + "task"
+_SEQUENCE_FLOW = _BPMN + "sequenceFlow"
+_TEXT_ANNOTATION = _BPMN + "textAnnotation"
+_ASSOCIATION = _BPMN + "association"
+_GROUP = _BPMN + "group"
+_DATA_OBJECT = _BPMN + "dataObject"
+_AGENT_PROFILE = _HAGENT + "agentProfile"
 
 _PLAIN_NODES = {
     "startEvent": m.StartEvent,
@@ -86,6 +93,20 @@ _GATEWAY_KINDS = {
     "inclusiveGateway": m.GatewayKind.INCLUSIVE,
     "parallelGateway": m.GatewayKind.PARALLEL,
     "complexGateway": m.GatewayKind.COMPLEX,
+}
+# qualified tag -> local name of a process child that has a reader
+_PROCESS_TAGS = {
+    _BPMN + local: local
+    for local in (
+        *_PLAIN_NODES,
+        "task",
+        *_GATEWAY_KINDS,
+        "sequenceFlow",
+        "textAnnotation",
+        "association",
+        "group",
+        "dataObject",
+    )
 }
 
 _COLLAB_TOKENS = {
@@ -108,28 +129,10 @@ class _Abort(Exception):
     """Internal: element-level parse failure already recorded."""
 
 
-class _PoolParts:
-    """What the walk over one process collects, in document order."""
-
-    __slots__ = ("node_lane", "lanes", "nodes", "flows", "artifacts", "opaque")
-
-    def __init__(self):
-        self.node_lane: dict = {}  # node id -> id of the lane that lists it
-        self.lanes: List[m.Lane] = []
-        self.nodes: List[m.FlowNode] = []
-        self.flows: List[m.SequenceFlow] = []
-        self.artifacts: List[m.Artifact] = []
-        self.opaque: List[str] = []
-
-
 class _Parser:
     def __init__(self):
         self.diagnostics: List[Diagnostic] = []
         self.seen_ids: dict = {}
-        # (qualified tag, attribute items) -> value of a hagent extension
-        # element that decoded without a diagnostic; values are frozen, so
-        # the elements that repeat across a model share them
-        self.decoded: dict = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -151,12 +154,15 @@ class _Parser:
         return elem_id
 
     def parse_trust(self, raw: str, element_id) -> Optional[m.TrustScore]:
-        if not _XSD_INTEGER.fullmatch(raw):
+        try:
+            value = int(raw) if _XSD_INTEGER.fullmatch(raw) else None
+        except ValueError:  # more digits than int() converts
+            value = None
+        if value is None:
             self.error(
                 "E-EXT", element_id, f"trustScore {raw!r} is not an integer"
             )
             return None
-        value = int(raw)
         try:
             return m.mk_trust_score(value)
         except m.OutOfRange:
@@ -196,18 +202,6 @@ class _Parser:
                             ET.tostring(child, encoding="unicode").strip()
                         )
         return hagent, tuple(foreign)
-
-    def decode(self, elem, element_id, read):
-        """``read(self, elem, element_id)``, memoized on the element's tag and
-        attributes.  A decoder returns None exactly when it reported an
-        error, so only clean decodes are kept and every error path reruns."""
-        key = (elem.tag, tuple(elem.attrib.items()))
-        value = self.decoded.get(key)
-        if value is None:
-            value = read(self, elem, element_id)
-            if value is not None:
-                self.decoded[key] = value
-        return value
 
     def parse_profile(self, elem, element_id) -> Optional[m.AgentProfile]:
         if not self.check_attrs(elem, element_id, {"role", "trustScore"}):
@@ -314,7 +308,7 @@ class _Parser:
                     "E-EXT", element_id, f"unexpected <hagent:{local}> on {host}"
                 )
                 return None
-            value = self.decode(elem, element_id, read)
+            value = read(self, elem, element_id)
             if value is None:
                 return None
             if local == "collaboration":
@@ -368,7 +362,7 @@ class _Parser:
                     "E-EXT", element_id, f"unexpected <hagent:{local}> on task"
                 )
                 return None
-            value = self.decode(elem, element_id, read)
+            value = read(self, elem, element_id)
             if value is None:
                 return None
             if local == "reflection":
@@ -380,132 +374,132 @@ class _Parser:
     # -- processes ----------------------------------------------------------
 
     def parse_process(self, proc, pool_id, pool_name, multi_instance) -> Optional[m.Pool]:
-        parts = _PoolParts()
+        lanes: List[m.Lane] = []
+        nodes: List[m.FlowNode] = []
+        flows: List[m.SequenceFlow] = []
+        artifacts: List[m.Artifact] = []
+        opaque: List[str] = []
+        node_lane: dict = {}
+
         for lane_set in proc.findall(_LANE_SET):
             for lane_elem in lane_set.findall(_LANE):
-                self.read_lane(lane_elem, parts)
+                try:
+                    lane_id = self.require_id(lane_elem, "lane")
+                except _Abort:
+                    continue
+                hagent, foreign = self.split_extensions(lane_elem)
+                profile = None
+                for ext in hagent:
+                    if ext.tag == _AGENT_PROFILE:
+                        profile = self.parse_profile(ext, lane_id)
+                    else:
+                        self.error(
+                            "E-EXT",
+                            lane_id,
+                            f"unexpected <hagent:{_tag(ext)}> on lane",
+                        )
+                node_ids = []
+                for ref in lane_elem.findall(_FLOW_NODE_REF):
+                    node_id = (ref.text or "").strip()
+                    if node_id:
+                        node_ids.append(node_id)
+                        node_lane[node_id] = lane_id
+                lanes.append(
+                    m.Lane(
+                        id=lane_id,
+                        name=lane_elem.get("name", ""),
+                        node_ids=tuple(node_ids),
+                        agentic=profile,
+                        foreign_ext=foreign,
+                    )
+                )
 
         for elem in proc:
-            entry = _PROCESS_CHILDREN.get(elem.tag)
-            if entry is None:
-                self.keep_opaque(elem, parts)
+            tag = elem.tag
+            if tag == _LANE_SET:
                 continue
-            local, read = entry
-            if read is None:  # the laneSet, read above
+            local = _PROCESS_TAGS.get(tag)
+            if local is None:
+                if tag.startswith(_BPMN):
+                    self.warning(
+                        "W-UNSUPPORTED",
+                        elem.get("id"),
+                        f"unsupported element <bpmn:{_tag(elem)}> preserved opaquely",
+                    )
+                opaque.append(ET.tostring(elem, encoding="unicode").strip())
                 continue
             try:
                 elem_id = self.require_id(elem, local)
             except _Abort:
                 continue
-            read(self, elem, elem_id, local, parts)
+            if tag == _SEQUENCE_FLOW:
+                condition = None
+                cond_elem = elem.find(_CONDITION_EXPRESSION)
+                if cond_elem is not None:
+                    condition = (cond_elem.text or "").strip() or None
+                flows.append(
+                    m.SequenceFlow(
+                        id=elem_id,
+                        source_id=elem.get("sourceRef", ""),
+                        target_id=elem.get("targetRef", ""),
+                        condition=condition,
+                    )
+                )
+            elif tag == _TEXT_ANNOTATION:
+                text_elem = elem.find(_TEXT)
+                text = (text_elem.text or "") if text_elem is not None else ""
+                artifacts.append(m.Annotation(elem_id, text))
+            elif tag == _ASSOCIATION:
+                artifacts.append(
+                    m.Association(
+                        elem_id,
+                        elem.get("sourceRef", ""),
+                        elem.get("targetRef", ""),
+                    )
+                )
+            elif tag == _GROUP:
+                artifacts.append(m.Group(elem_id, elem.get("name", "")))
+            elif tag == _DATA_OBJECT:
+                artifacts.append(m.DataObject(elem_id, elem.get("name", "")))
+            else:  # a flow node
+                lane_id = node_lane.get(elem_id)
+                if lane_id is None:
+                    self.error(
+                        "E-REF", elem_id, f"node {elem_id!r} is in no lane"
+                    )
+                    continue
+                hagent, foreign = self.split_extensions(elem)
+                name = elem.get("name", "")
+                if tag == _TASK:
+                    agentic = None
+                    if hagent:
+                        agentic = self.parse_task_ext(hagent, elem_id)
+                        if agentic is None:
+                            continue
+                    node: m.FlowNode = m.Task(elem_id, lane_id, name, foreign, agentic)
+                elif local in _GATEWAY_KINDS:
+                    kind = _GATEWAY_KINDS[local]
+                    agentic = None
+                    if hagent:
+                        agentic = self.parse_collab_ext(hagent, elem_id, kind)
+                        if agentic is None:
+                            continue
+                    node = m.Gateway(elem_id, lane_id, name, foreign, kind, agentic)
+                else:
+                    node = _PLAIN_NODES[local](elem_id, lane_id, name, foreign)
+                    self._reject_ext(hagent, elem_id, local)
+                nodes.append(node)
 
         return m.Pool(
             id=pool_id,
             name=pool_name,
-            lanes=tuple(parts.lanes),
-            nodes=tuple(parts.nodes),
-            flows=tuple(parts.flows),
-            artifacts=tuple(parts.artifacts),
+            lanes=tuple(lanes),
+            nodes=tuple(nodes),
+            flows=tuple(flows),
+            artifacts=tuple(artifacts),
             multi_instance=multi_instance,
-            opaque_elements=tuple(parts.opaque),
+            opaque_elements=tuple(opaque),
         )
-
-    def keep_opaque(self, elem, parts):
-        """Keep a process child that has no reader, warning if it is BPMN."""
-        if elem.tag.startswith(_BPMN):
-            self.warning(
-                "W-UNSUPPORTED",
-                elem.get("id"),
-                f"unsupported element <bpmn:{_tag(elem)}> preserved opaquely",
-            )
-        parts.opaque.append(ET.tostring(elem, encoding="unicode").strip())
-
-    def read_lane(self, lane_elem, parts):
-        try:
-            lane_id = self.require_id(lane_elem, "lane")
-        except _Abort:
-            return
-        hagent, foreign = self.split_extensions(lane_elem)
-        profile = None
-        for ext in hagent:
-            local, read = _extension(ext)
-            if local == "agentProfile":
-                profile = self.decode(ext, lane_id, read)
-            else:
-                self.error(
-                    "E-EXT", lane_id, f"unexpected <hagent:{local}> on lane"
-                )
-        node_ids = []
-        for ref in lane_elem.findall(_FLOW_NODE_REF):
-            node_id = (ref.text or "").strip()
-            if node_id:
-                node_ids.append(node_id)
-                parts.node_lane[node_id] = lane_id
-        parts.lanes.append(
-            m.Lane(
-                id=lane_id,
-                name=lane_elem.get("name", ""),
-                node_ids=tuple(node_ids),
-                agentic=profile,
-                foreign_ext=foreign,
-            )
-        )
-
-    def read_node(self, elem, elem_id, local, parts):
-        lane_id = parts.node_lane.get(elem_id)
-        if lane_id is None:
-            self.error("E-REF", elem_id, f"node {elem_id!r} is in no lane")
-            return
-        hagent, foreign = self.split_extensions(elem)
-        name = elem.get("name", "")
-        if local == "task":
-            agentic = None
-            if hagent:
-                agentic = self.parse_task_ext(hagent, elem_id)
-                if agentic is None:
-                    return
-            node: m.FlowNode = m.Task(elem_id, lane_id, name, foreign, agentic)
-        elif local in _GATEWAY_KINDS:
-            kind = _GATEWAY_KINDS[local]
-            agentic = None
-            if hagent:
-                agentic = self.parse_collab_ext(hagent, elem_id, kind)
-                if agentic is None:
-                    return
-            node = m.Gateway(elem_id, lane_id, name, foreign, kind, agentic)
-        else:
-            node = _PLAIN_NODES[local](elem_id, lane_id, name, foreign)
-            self._reject_ext(hagent, elem_id, local)
-        parts.nodes.append(node)
-
-    def read_sequence_flow(self, elem, elem_id, local, parts):
-        condition = None
-        cond_elem = elem.find(_CONDITION_EXPRESSION)
-        if cond_elem is not None:
-            condition = (cond_elem.text or "").strip() or None
-        parts.flows.append(
-            m.SequenceFlow(
-                id=elem_id,
-                source_id=elem.get("sourceRef", ""),
-                target_id=elem.get("targetRef", ""),
-                condition=condition,
-            )
-        )
-
-    def read_artifact(self, elem, elem_id, local, parts):
-        if local == "textAnnotation":
-            text_elem = elem.find(_TEXT)
-            text = (text_elem.text or "") if text_elem is not None else ""
-            artifact: m.Artifact = m.Annotation(elem_id, text)
-        elif local == "association":
-            artifact = m.Association(
-                elem_id, elem.get("sourceRef", ""), elem.get("targetRef", "")
-            )
-        elif local == "group":
-            artifact = m.Group(elem_id, elem.get("name", ""))
-        else:
-            artifact = m.DataObject(elem_id, elem.get("name", ""))
-        parts.artifacts.append(artifact)
 
     def _reject_ext(self, hagent, elem_id, tag):
         for ext in hagent:
@@ -515,23 +509,6 @@ class _Parser:
                 f"<hagent:{_tag(ext)}> not allowed on <bpmn:{tag}>",
             )
 
-
-# qualified tag -> (local name, reader) of a child of a process; the
-# laneSet was read first
-_PROCESS_CHILDREN = {
-    _BPMN + local: (local, read)
-    for local, read in {
-        **dict.fromkeys(_PLAIN_NODES, _Parser.read_node),
-        "task": _Parser.read_node,
-        **dict.fromkeys(_GATEWAY_KINDS, _Parser.read_node),
-        "sequenceFlow": _Parser.read_sequence_flow,
-        "textAnnotation": _Parser.read_artifact,
-        "association": _Parser.read_artifact,
-        "group": _Parser.read_artifact,
-        "dataObject": _Parser.read_artifact,
-        "laneSet": None,
-    }.items()
-}
 
 # qualified tag -> (local name, decoder) of a hagent extension element
 _EXTENSIONS = {
@@ -665,12 +642,11 @@ def parse_model(document) -> ParseResult:
 # -- serialization ----------------------------------------------------------
 
 
-def quote_attr(value: str, escape_other=quoteattr) -> str:
-    """``value`` quoted as an XML attribute value.
+def quote_attr(value: str) -> str:
+    """``quoteattr(value)``, with a fast path for plain values.
 
     A value that holds none of ``& < > " \\n \\r \\t`` is returned between
-    double quotes as it is, which is what ``quoteattr`` returns for it; any
-    other value goes to ``escape_other``.
+    double quotes as it is, which is what ``quoteattr`` returns for it.
     """
     if (
         "&" in value
@@ -681,7 +657,7 @@ def quote_attr(value: str, escape_other=quoteattr) -> str:
         or "\r" in value
         or "\t" in value
     ):
-        return escape_other(value)
+        return quoteattr(value)
     return f'"{value}"'
 
 

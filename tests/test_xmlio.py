@@ -322,9 +322,11 @@ def test_trust_accepts_xsd_integers(raw, value):
 
 @pytest.mark.parametrize(
     "raw",
-    ["4_2", "\u0664\u0662", "42.0", "", " ", "4 2", "0x2a", "&#160;42", "+-4", "\uff14\uff12"],
+    ["4_2", "\u0664\u0662", "42.0", "", " ", "4 2", "0x2a", "&#160;42", "+-4", "\uff14\uff12",
+     "9" * 5000, "0" * 5000 + "1"],
     ids=["underscore", "arabic-indic", "decimal", "empty", "blank", "inner-space",
-         "hex", "nbsp", "two-signs", "fullwidth"],
+         "hex", "nbsp", "two-signs", "fullwidth", "past-int-digit-limit",
+         "zeros-past-int-digit-limit"],
 )
 def test_trust_rejects_what_xsd_integer_rejects(raw):
     result = lane_trust_result(raw)
