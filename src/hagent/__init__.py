@@ -9,6 +9,7 @@ from hagent.model import (
     AgentProfile,
     AgenticGatewayInfo,
     AgenticMessageFlowInfo,
+    AgenticRegionInfo,
     AgenticTaskInfo,
     Annotation,
     Association,

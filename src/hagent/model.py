@@ -134,15 +134,19 @@ VOTING_STRATEGIES = frozenset(
 class GatewayDirection(str, enum.Enum):
     DIVERGING = "diverging"
     MERGING = "merging"
+    # a message flow is outgoing (opens a region) or incoming (closes one)
+    OUTGOING = "diverging"
+    INCOMING = "merging"
+
+
+MessageFlowDirection = GatewayDirection
 
 
 @dataclass(frozen=True)
-class AgenticGatewayInfo:
-    """Collaboration (diverging) or merge (merging) marker on a gateway.
-
-    Exactly one of ``collaboration`` / ``merge`` must be set, agreeing
-    with ``direction``.
-    """
+class AgenticRegionInfo:
+    """Collaboration (diverging) or merge (merging) marker on a gateway or
+    a message flow: exactly one of ``collaboration`` / ``merge`` is set,
+    agreeing with ``direction``."""
 
     direction: GatewayDirection
     collaboration: Optional[CollaborationMode] = None
@@ -153,13 +157,15 @@ class AgenticGatewayInfo:
         if self.direction is GatewayDirection.DIVERGING:
             if self.collaboration is None or self.merge is not None:
                 raise InvariantViolation(
-                    "diverging agentic gateway requires collaboration and no merge"
+                    "diverging (outgoing) agentic marker requires collaboration and no merge"
                 )
-        else:
-            if self.merge is None or self.collaboration is not None:
-                raise InvariantViolation(
-                    "merging agentic gateway requires merge and no collaboration"
-                )
+        elif self.merge is None or self.collaboration is not None:
+            raise InvariantViolation(
+                "merging (incoming) agentic marker requires merge and no collaboration"
+            )
+
+
+AgenticGatewayInfo = AgenticMessageFlowInfo = AgenticRegionInfo
 
 
 class GatewayKind(str, enum.Enum):
@@ -200,7 +206,7 @@ class SubProcess(FlowNode):
 @dataclass(frozen=True)
 class Gateway(FlowNode):
     kind: GatewayKind = GatewayKind.EXCLUSIVE
-    agentic: Optional[AgenticGatewayInfo] = None
+    agentic: Optional[AgenticRegionInfo] = None
 
 
 @dataclass(frozen=True)
@@ -211,37 +217,12 @@ class SequenceFlow:
     condition: Optional[str] = None
 
 
-class MessageFlowDirection(str, enum.Enum):
-    OUTGOING = "outgoing"
-    INCOMING = "incoming"
-
-
-@dataclass(frozen=True)
-class AgenticMessageFlowInfo:
-    direction: MessageFlowDirection
-    collaboration: Optional[CollaborationMode] = None
-    merge: Optional[MergeStrategy] = None
-    trust: Optional[TrustScore] = None
-
-    def __post_init__(self):
-        if self.direction is MessageFlowDirection.OUTGOING:
-            if self.collaboration is None or self.merge is not None:
-                raise InvariantViolation(
-                    "outgoing agentic message flow requires collaboration"
-                )
-        else:
-            if self.merge is None or self.collaboration is not None:
-                raise InvariantViolation(
-                    "incoming agentic message flow requires merge"
-                )
-
-
 @dataclass(frozen=True)
 class MessageFlow:
     id: str
     source_id: str
     target_id: str
-    agentic: Optional[AgenticMessageFlowInfo] = None
+    agentic: Optional[AgenticRegionInfo] = None
     foreign_ext: Tuple[str, ...] = ()
 
 

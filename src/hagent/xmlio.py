@@ -10,10 +10,11 @@ opaque blobs and survive round-trips.
 from __future__ import annotations
 
 import enum
+import math
 import re
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, List, NamedTuple, Optional, Tuple
 from xml.sax.saxutils import escape, quoteattr
 
 from hagent import model as m
@@ -81,19 +82,13 @@ _TEXT_ANNOTATION = _BPMN + "textAnnotation"
 _ASSOCIATION = _BPMN + "association"
 _GROUP = _BPMN + "group"
 _DATA_OBJECT = _BPMN + "dataObject"
-_AGENT_PROFILE = _HAGENT + "agentProfile"
 
 _PLAIN_NODES = {
     "startEvent": m.StartEvent,
     "endEvent": m.EndEvent,
     "subProcess": m.SubProcess,
 }
-_GATEWAY_KINDS = {
-    "exclusiveGateway": m.GatewayKind.EXCLUSIVE,
-    "inclusiveGateway": m.GatewayKind.INCLUSIVE,
-    "parallelGateway": m.GatewayKind.PARALLEL,
-    "complexGateway": m.GatewayKind.COMPLEX,
-}
+_GATEWAY_KINDS = {kind.value + "Gateway": kind for kind in m.GatewayKind}
 # qualified tag -> local name of a process child that has a reader
 _PROCESS_TAGS = {
     _BPMN + local: local
@@ -109,20 +104,211 @@ _PROCESS_TAGS = {
     )
 }
 
-_COLLAB_TOKENS = {
-    "competition": m.CollaborationMode.COMPETITION,
-    "debate": m.CollaborationMode.DEBATE,
-    "role": m.CollaborationMode.ROLE,
-    "voting": m.CollaborationMode.VOTING,
-}
-_MERGE_TOKENS = {s.value: s for s in m.MergeStrategy}
-_REFLECTION_TOKENS = {
-    "self": m.ReflectionKind.SELF,
-    "cross": m.ReflectionKind.CROSS,
-    "human": m.ReflectionKind.HUMAN,
-}
+
+def quote_attr(value: str) -> str:
+    """``quoteattr(value)``, with a fast path for plain values.
+
+    A value that holds none of ``& < > " \\n \\r \\t`` is returned between
+    double quotes as it is, which is what ``quoteattr`` returns for it.
+    """
+    if (
+        "&" in value
+        or "<" in value
+        or ">" in value
+        or '"' in value
+        or "\n" in value
+        or "\r" in value
+        or "\t" in value
+    ):
+        return quoteattr(value)
+    return f'"{value}"'
+
+
 # the lexical space of xsd:integer, with XML whitespace around it
 _XSD_INTEGER = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
+
+
+# -- the extension vocabulary ------------------------------------------------
+#
+# ``_VOCABULARY`` describes every hagent element once: the reader decodes,
+# the writer encodes and ``export_extension_schema`` declares each element
+# by its row.
+
+
+class _Lexical(NamedTuple):
+    """An attribute's lexical type.  ``read`` maps its text (None when
+    absent) to a value, or to None outside the type, for which ``problem``
+    gives the (code, message) unless the type has no ``problem``; ``write``
+    maps a value to quoted text, or to None to leave the attribute out."""
+
+    xsd: Optional[str]  # None for an enumeration, named after its attribute
+    read: Callable
+    problem: Optional[Callable]
+    write: Callable
+    members: Tuple[str, ...] = ()  # an enumeration's values
+
+
+def _integer(low, high, make=int):
+    """Reads xsd:integer text in low..high as ``make(value)``, other text
+    as None."""
+
+    def read(raw):
+        if raw is None or not _XSD_INTEGER.fullmatch(raw):
+            return None
+        try:
+            value = int(raw)
+        except ValueError:  # more digits than int() converts
+            return None
+        return make(value) if low <= value <= high else None
+
+    return read
+
+
+def _trust_problem(local, name, raw):
+    value = _integer(-math.inf, math.inf)(raw)
+    if value is None:  # an absent trustScore reads as empty text
+        return "E-EXT", f"{name} {raw or ''!r} is not an integer"
+    return "E-TRUST-RANGE", f"{name} {value} outside 0..100"
+
+
+def _enum(cls) -> _Lexical:
+    return _Lexical(
+        None,
+        {member.value: member for member in cls}.get,
+        lambda local, name, raw: ("E-EXT", f"unknown {local} {name} {raw!r}"),
+        {member: quote_attr(member.value) for member in cls}.get,
+        tuple(member.value for member in cls),
+    )
+
+
+# an integer's text needs no escaping
+_TRUST = _Lexical(
+    "hagent:tTrustScore",
+    _integer(0, 100, m.TrustScore),
+    _trust_problem,
+    lambda trust: f'"{trust.value}"',
+)
+_POSITIVE = _Lexical(
+    "xsd:positiveInteger",
+    _integer(1, math.inf),
+    lambda local, name, raw: ("E-EXT", f"{name} {raw!r} must be a positive integer"),
+    lambda number: f'"{number}"',
+)
+_ROLE = _Lexical(  # non-empty text
+    "hagent:tRole",
+    lambda raw: raw or None,
+    lambda local, name, raw: ("E-EXT", f"{local} requires a {name}"),
+    quote_attr,
+)
+_IDS = _Lexical(  # comma-separated ids; blank ones are dropped
+    "xsd:string",
+    lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
+    None,
+    lambda ids: quote_attr(",".join(ids)) if ids else None,
+)
+_OPTIONAL_TEXT = _Lexical(  # empty text reads as absent
+    "xsd:string",
+    lambda raw: raw or None,
+    None,
+    lambda text: quote_attr(text) if text else None,
+)
+
+
+class _Attr(NamedTuple):
+    name: str
+    lexical: _Lexical
+    required: bool = False
+    default: object = None  # the value when absent
+    field: Optional[str] = None  # of the element's model class
+
+
+@dataclass(eq=False)
+class _Element:
+    """A hagent element: the host field it fills and its attributes, from
+    which ``build`` makes its value (without ``build``, the element's value
+    is its one attribute's).  ``check`` gives the message of a rule across
+    attributes that the value breaks."""
+
+    local: str
+    field: str
+    attrs: Tuple[_Attr, ...]
+    build: Optional[type] = None
+    check: Optional[Callable] = None
+    comment: Optional[str] = None  # in the schema
+
+    def __post_init__(self):
+        if self.build is not None:  # built from the attributes in field order
+            assert [a.field for a in self.attrs] == [f.name for f in fields(self.build)]
+        self.open = "<hagent:" + self.local
+        self.names = frozenset(a.name for a in self.attrs)
+        # the attributes as the reader and the writer walk them
+        self.reads = tuple(
+            (i, a.name, a.lexical.read, a.lexical.problem, a.required)
+            for i, a in enumerate(self.attrs)
+        )
+        self.defaults = tuple(a.default for a in self.attrs)
+        self.writes = tuple(
+            (f" {a.name}=", a.lexical.write, a.field) for a in self.attrs
+        )
+
+
+def _reflection_problem(refl):
+    if refl.kind is m.ReflectionKind.CROSS and not refl.reviewer_lane_ids:
+        return "cross reflection requires reviewers"
+    if refl.kind is m.ReflectionKind.HUMAN and not refl.human_lane_id:
+        return "human reflection requires a human lane"
+    return None
+
+
+_VOCABULARY = (
+    _Element(
+        "agentProfile",
+        "agentic",
+        (
+            _Attr("role", _ROLE, required=True, field="role"),
+            _Attr("trustScore", _TRUST, field="trust"),
+        ),
+        build=m.AgentProfile,
+        comment="AgenticLane stereotype",
+    ),
+    _Element(
+        "reflection",
+        "reflection",
+        (
+            _Attr("mode", _enum(m.ReflectionKind), required=True, field="kind"),
+            # no termination bound is standard
+            _Attr("maxRounds", _POSITIVE, default=3, field="max_rounds"),
+            _Attr("reviewers", _IDS, default=(), field="reviewer_lane_ids"),
+            _Attr("human", _OPTIONAL_TEXT, field="human_lane_id"),
+        ),
+        build=m.ReflectionMode,
+        check=_reflection_problem,
+        comment="AgenticTask stereotype",
+    ),
+    _Element("uncertainty", "trust", (_Attr("trustScore", _TRUST, required=True),)),
+    _Element(
+        "collaboration",
+        "collaboration",
+        (_Attr("mode", _enum(m.CollaborationMode), required=True),),
+        comment="AgenticOR / AgenticAND / AgenticMessageFlow stereotypes",
+    ),
+    _Element(
+        "merge", "merge", (_Attr("strategy", _enum(m.MergeStrategy), required=True),)
+    ),
+)
+
+
+_ROWS = {_HAGENT + row.local: row for row in _VOCABULARY}  # by qualified tag
+
+
+def _host(*locals_):
+    """The rows of the elements a host takes, in writing order."""
+    return tuple(_ROWS[_HAGENT + local] for local in locals_)
+
+
+_LANE_EXT = _host("agentProfile")
+_TASK_EXT = _host("reflection", "uncertainty")
+_COLLAB_EXT = _host("collaboration", "merge", "uncertainty")
 
 
 class _Abort(Exception):
@@ -153,41 +339,26 @@ class _Parser:
         self.seen_ids[elem_id] = True
         return elem_id
 
-    def parse_trust(self, raw: str, element_id) -> Optional[m.TrustScore]:
+    def keep_opaque(self, elem, element_id, fragments):
+        """Append ``elem`` to ``fragments`` as an opaque fragment, or report
+        E-XML on the enclosing element when it nests too deeply to write."""
         try:
-            value = int(raw) if _XSD_INTEGER.fullmatch(raw) else None
-        except ValueError:  # more digits than int() converts
-            value = None
-        if value is None:
-            self.error(
-                "E-EXT", element_id, f"trustScore {raw!r} is not an integer"
-            )
-            return None
-        try:
-            return m.mk_trust_score(value)
-        except m.OutOfRange:
-            self.error(
-                "E-TRUST-RANGE",
-                element_id,
-                f"trustScore {value} outside 0..100",
-            )
-            return None
+            fragments.append(ET.tostring(elem, encoding="unicode").strip())
+        except RecursionError:  # ElementTree writes one level per call
+            message = f"<{_tag(elem)}> is nested too deeply to preserve"
+            self.error("E-XML", element_id, message)
 
-    def check_attrs(self, elem, element_id, allowed) -> bool:
-        ok = True
-        for attr in elem.attrib:
-            if attr not in allowed:
-                self.error(
-                    "E-EXT",
-                    element_id,
-                    f"unknown attribute {attr!r} on <hagent:{_tag(elem)}>",
-                )
-                ok = False
-        return ok
+    def keep_unsupported(self, elem, element_id, fragments):
+        """Keep an element the reader does not model, warning when it is
+        standard BPMN."""
+        if elem.tag.startswith(_BPMN):
+            message = f"unsupported element <bpmn:{_tag(elem)}> preserved opaquely"
+            self.warning("W-UNSUPPORTED", elem.get("id"), message)
+        self.keep_opaque(elem, element_id, fragments)
 
     # -- extension elements -------------------------------------------------
 
-    def split_extensions(self, elem):
+    def split_extensions(self, elem, element_id):
         """Return (hagent extension elements, opaque foreign fragments)."""
         if not len(elem):
             return (), ()
@@ -198,178 +369,79 @@ class _Parser:
                     if child.tag.startswith(_HAGENT):
                         hagent.append(child)
                     else:
-                        foreign.append(
-                            ET.tostring(child, encoding="unicode").strip()
-                        )
+                        self.keep_opaque(child, element_id, foreign)
         return hagent, tuple(foreign)
 
-    def parse_profile(self, elem, element_id) -> Optional[m.AgentProfile]:
-        if not self.check_attrs(elem, element_id, {"role", "trustScore"}):
+    def decode(self, row, elem, element_id):
+        """The value of a hagent element by its row, or None after reporting
+        every unknown attribute or else the first attribute that is wrong."""
+        attrib = elem.attrib
+        if not row.names.issuperset(attrib):
+            for name in attrib:
+                if name not in row.names:
+                    message = f"unknown attribute {name!r} on <hagent:{row.local}>"
+                    self.error("E-EXT", element_id, message)
             return None
-        role = elem.get("role")
-        if not role:
-            self.error("E-EXT", element_id, "agentProfile requires a role")
-            return None
-        trust = None
-        if "trustScore" in elem.attrib:
-            trust = self.parse_trust(elem.get("trustScore"), element_id)
-            if trust is None:
+        values = [*row.defaults]
+        for i, name, read, problem, required in row.reads:
+            raw = attrib.get(name)
+            if raw is None and not required:
+                continue  # the default stands
+            value = read(raw)
+            if value is None and problem is not None:
+                code, message = problem(row.local, name, raw)
+                self.error(code, element_id, message)
                 return None
-        return m.AgentProfile(role=role, trust=trust)
-
-    def parse_reflection(self, elem, element_id) -> Optional[m.ReflectionMode]:
-        if not self.check_attrs(
-            elem, element_id, {"mode", "maxRounds", "reviewers", "human"}
-        ):
-            return None
-        mode = elem.get("mode")
-        if mode not in _REFLECTION_TOKENS:
-            self.error(
-                "E-EXT", element_id, f"unknown reflection mode {mode!r}"
-            )
-            return None
-        kind = _REFLECTION_TOKENS[mode]
-        max_rounds = 3  # default when absent: no termination bound is standard
-        raw = elem.get("maxRounds")
-        if raw is not None:
-            # xsd:positiveInteger: the xsd:integer form, then > 0
-            try:
-                max_rounds = int(raw) if _XSD_INTEGER.fullmatch(raw) else 0
-            except ValueError:  # more digits than int() converts
-                max_rounds = 0
-            if max_rounds < 1:
-                self.error(
-                    "E-EXT",
-                    element_id,
-                    f"maxRounds {raw!r} must be a positive integer",
-                )
+            values[i] = value
+        if row.build is None:
+            return values[0]
+        value = row.build(*values)
+        if row.check is not None:
+            message = row.check(value)
+            if message is not None:
+                self.error("E-EXT", element_id, message)
                 return None
-        reviewers: Tuple[str, ...] = ()
-        if elem.get("reviewers"):
-            reviewers = tuple(
-                part.strip()
-                for part in elem.get("reviewers").split(",")
-                if part.strip()
-            )
-        human = elem.get("human")
-        if kind is m.ReflectionKind.CROSS and not reviewers:
-            self.error(
-                "E-EXT", element_id, "cross reflection requires reviewers"
-            )
-            return None
-        if kind is m.ReflectionKind.HUMAN and not human:
-            self.error(
-                "E-EXT", element_id, "human reflection requires a human lane"
-            )
-            return None
-        return m.ReflectionMode(
-            kind=kind,
-            max_rounds=max_rounds,
-            reviewer_lane_ids=reviewers,
-            human_lane_id=human,
-        )
+        return value
 
-    def parse_uncertainty(self, elem, element_id) -> Optional[m.TrustScore]:
-        if not self.check_attrs(elem, element_id, {"trustScore"}):
-            return None
-        return self.parse_trust(elem.get("trustScore", ""), element_id)
-
-    def parse_collaboration(self, elem, element_id):
-        if not self.check_attrs(elem, element_id, {"mode"}):
-            return None
-        mode = elem.get("mode")
-        if mode not in _COLLAB_TOKENS:
-            self.error(
-                "E-EXT", element_id, f"unknown collaboration mode {mode!r}"
-            )
-            return None
-        return _COLLAB_TOKENS[mode]
-
-    def parse_merge(self, elem, element_id):
-        if not self.check_attrs(elem, element_id, {"strategy"}):
-            return None
-        strategy = elem.get("strategy")
-        if strategy not in _MERGE_TOKENS:
-            self.error(
-                "E-EXT", element_id, f"unknown merge strategy {strategy!r}"
-            )
-            return None
-        return _MERGE_TOKENS[strategy]
+    def decode_host(self, elems, element_id, rows, host) -> Optional[dict]:
+        """Host field -> value of the hagent elements on a task, gateway or
+        message flow, or None after the first problem."""
+        fields = {}
+        for elem in elems:
+            row = _ROWS.get(elem.tag)
+            if row not in rows:
+                message = f"unexpected <hagent:{_tag(elem)}> on {host}"
+                self.error("E-EXT", element_id, message)
+                return None
+            value = self.decode(row, elem, element_id)
+            if value is None:
+                return None
+            fields[row.field] = value
+        return fields
 
     def parse_collab_ext(self, elems, element_id, kind=None):
         """Collaboration/merge extension of a gateway of the given ``kind``,
         or of a message flow when ``kind`` is None."""
         host = "message flow" if kind is None else "gateway"
-        collaboration = merge = trust = None
-        for elem in elems:
-            local, read = _extension(elem)
-            if local not in ("collaboration", "merge", "uncertainty"):
-                self.error(
-                    "E-EXT", element_id, f"unexpected <hagent:{local}> on {host}"
-                )
-                return None
-            value = read(self, elem, element_id)
-            if value is None:
-                return None
-            if local == "collaboration":
-                collaboration = value
-            elif local == "merge":
-                merge = value
-            else:
-                trust = value
-        if (collaboration is None) == (merge is None):
+        fields = self.decode_host(elems, element_id, _COLLAB_EXT, host)
+        if fields is None:
+            return None
+        opens = "collaboration" in fields
+        if opens == ("merge" in fields):
             if kind is None:
                 message = "agentic message flow requires exactly one of collaboration/merge"
-            elif collaboration is None:
+            elif not opens:
                 message = "agentic gateway requires a collaboration or merge element"
             else:
                 message = "gateway cannot carry both collaboration and merge"
             self.error("E-EXT", element_id, message)
             return None
         if kind in (m.GatewayKind.EXCLUSIVE, m.GatewayKind.COMPLEX):
-            self.error(
-                "E-XOR-AGENTIC",
-                element_id,
-                f"agentic extension not allowed on {kind.value} gateway",
-            )
+            message = f"agentic extension not allowed on {kind.value} gateway"
+            self.error("E-XOR-AGENTIC", element_id, message)
             return None
-        opens = collaboration is not None
-        if kind is None:
-            info = m.AgenticMessageFlowInfo
-            direction = (
-                m.MessageFlowDirection.OUTGOING
-                if opens
-                else m.MessageFlowDirection.INCOMING
-            )
-        else:
-            info = m.AgenticGatewayInfo
-            direction = (
-                m.GatewayDirection.DIVERGING if opens else m.GatewayDirection.MERGING
-            )
-        return info(
-            direction=direction,
-            collaboration=collaboration,
-            merge=merge,
-            trust=trust,
-        )
-
-    def parse_task_ext(self, elems, element_id) -> Optional[m.AgenticTaskInfo]:
-        reflection = trust = None
-        for elem in elems:
-            local, read = _extension(elem)
-            if local not in ("reflection", "uncertainty"):
-                self.error(
-                    "E-EXT", element_id, f"unexpected <hagent:{local}> on task"
-                )
-                return None
-            value = read(self, elem, element_id)
-            if value is None:
-                return None
-            if local == "reflection":
-                reflection = value
-            else:
-                trust = value
-        return m.AgenticTaskInfo(reflection=reflection, trust=trust)
+        direction = m.GatewayDirection.DIVERGING if opens else m.GatewayDirection.MERGING
+        return m.AgenticRegionInfo(direction=direction, **fields)
 
     # -- processes ----------------------------------------------------------
 
@@ -387,17 +459,15 @@ class _Parser:
                     lane_id = self.require_id(lane_elem, "lane")
                 except _Abort:
                     continue
-                hagent, foreign = self.split_extensions(lane_elem)
+                hagent, foreign = self.split_extensions(lane_elem, lane_id)
                 profile = None
                 for ext in hagent:
-                    if ext.tag == _AGENT_PROFILE:
-                        profile = self.parse_profile(ext, lane_id)
+                    row = _ROWS.get(ext.tag)
+                    if row in _LANE_EXT:
+                        profile = self.decode(row, ext, lane_id)
                     else:
-                        self.error(
-                            "E-EXT",
-                            lane_id,
-                            f"unexpected <hagent:{_tag(ext)}> on lane",
-                        )
+                        message = f"unexpected <hagent:{_tag(ext)}> on lane"
+                        self.error("E-EXT", lane_id, message)
                 node_ids = []
                 for ref in lane_elem.findall(_FLOW_NODE_REF):
                     node_id = (ref.text or "").strip()
@@ -420,13 +490,7 @@ class _Parser:
                 continue
             local = _PROCESS_TAGS.get(tag)
             if local is None:
-                if tag.startswith(_BPMN):
-                    self.warning(
-                        "W-UNSUPPORTED",
-                        elem.get("id"),
-                        f"unsupported element <bpmn:{_tag(elem)}> preserved opaquely",
-                    )
-                opaque.append(ET.tostring(elem, encoding="unicode").strip())
+                self.keep_unsupported(elem, proc.get("id"), opaque)
                 continue
             try:
                 elem_id = self.require_id(elem, local)
@@ -468,14 +532,15 @@ class _Parser:
                         "E-REF", elem_id, f"node {elem_id!r} is in no lane"
                     )
                     continue
-                hagent, foreign = self.split_extensions(elem)
+                hagent, foreign = self.split_extensions(elem, elem_id)
                 name = elem.get("name", "")
                 if tag == _TASK:
                     agentic = None
                     if hagent:
-                        agentic = self.parse_task_ext(hagent, elem_id)
-                        if agentic is None:
+                        fields = self.decode_host(hagent, elem_id, _TASK_EXT, "task")
+                        if fields is None:
                             continue
+                        agentic = m.AgenticTaskInfo(**fields)
                     node: m.FlowNode = m.Task(elem_id, lane_id, name, foreign, agentic)
                 elif local in _GATEWAY_KINDS:
                     kind = _GATEWAY_KINDS[local]
@@ -508,24 +573,6 @@ class _Parser:
                 elem_id,
                 f"<hagent:{_tag(ext)}> not allowed on <bpmn:{tag}>",
             )
-
-
-# qualified tag -> (local name, decoder) of a hagent extension element
-_EXTENSIONS = {
-    _HAGENT + local: (local, read)
-    for local, read in {
-        "agentProfile": _Parser.parse_profile,
-        "reflection": _Parser.parse_reflection,
-        "uncertainty": _Parser.parse_uncertainty,
-        "collaboration": _Parser.parse_collaboration,
-        "merge": _Parser.parse_merge,
-    }.items()
-}
-
-
-def _extension(elem):
-    """(local name, decoder or None) of a hagent extension element."""
-    return _EXTENSIONS.get(elem.tag) or (_tag(elem), None)
 
 
 def parse_model(document) -> ParseResult:
@@ -580,7 +627,7 @@ def parse_model(document) -> ParseResult:
                 flow_id = parser.require_id(flow_elem, "messageFlow")
             except _Abort:
                 continue
-            hagent, foreign = parser.split_extensions(flow_elem)
+            hagent, foreign = parser.split_extensions(flow_elem, flow_id)
             agentic = None
             if hagent:
                 agentic = parser.parse_collab_ext(hagent, flow_id)
@@ -610,13 +657,7 @@ def parse_model(document) -> ParseResult:
     for elem in root:
         if elem.tag == _PROCESS or elem.tag == _COLLABORATION:
             continue
-        if elem.tag.startswith(_BPMN):
-            parser.warning(
-                "W-UNSUPPORTED",
-                elem.get("id"),
-                f"unsupported element <bpmn:{_tag(elem)}> preserved opaquely",
-            )
-        opaque_top.append(ET.tostring(elem, encoding="unicode").strip())
+        parser.keep_unsupported(elem, root.get("id"), opaque_top)
 
     if parser.diagnostics and any(
         d.severity is Severity.ERROR for d in parser.diagnostics
@@ -642,56 +683,38 @@ def parse_model(document) -> ParseResult:
 # -- serialization ----------------------------------------------------------
 
 
-def quote_attr(value: str) -> str:
-    """``quoteattr(value)``, with a fast path for plain values.
-
-    A value that holds none of ``& < > " \\n \\r \\t`` is returned between
-    double quotes as it is, which is what ``quoteattr`` returns for it.
-    """
-    if (
-        "&" in value
-        or "<" in value
-        or ">" in value
-        or '"' in value
-        or "\n" in value
-        or "\r" in value
-        or "\t" in value
-    ):
-        return quoteattr(value)
-    return f'"{value}"'
-
-
 def _write_raw(lines, indent, fragment):
     for frag_line in fragment.splitlines():
         lines.append(indent + frag_line)
 
 
 def _write_extensions(lines, indent, ext_lines, foreign):
+    """The extensionElements block; ``ext_lines`` come indented one level
+    deeper than ``indent``."""
     if not ext_lines and not foreign:
         return
     lines.append(indent + "<bpmn:extensionElements>")
-    inner = indent + "  "
-    for ext in ext_lines:
-        lines.append(inner + ext)
+    lines.extend(ext_lines)
     for frag in foreign:
-        _write_raw(lines, inner, frag)
+        _write_raw(lines, indent + "  ", frag)
     lines.append(indent + "</bpmn:extensionElements>")
 
 
-def _trust_attr(trust) -> str:
-    return f" trustScore={quote_attr(str(trust.value))}" if trust else ""
-
-
-def _gateway_ext_lines(info) -> List[str]:
+def _ext_lines(rows, host, indent) -> List[str]:
+    """The hagent elements, one indented line each, of the fields of
+    ``host`` that the rows fill and that are set."""
     lines = []
-    if info.collaboration is not None:
-        lines.append(
-            f"<hagent:collaboration mode={quote_attr(info.collaboration.value)}/>"
-        )
-    if info.merge is not None:
-        lines.append(f"<hagent:merge strategy={quote_attr(info.merge.value)}/>")
-    if info.trust is not None:
-        lines.append(f"<hagent:uncertainty{_trust_attr(info.trust)}/>")
+    for row in rows:
+        value = getattr(host, row.field)
+        if value is not None:
+            line = indent + row.open
+            for prefix, write, field in row.writes:
+                text = value if field is None else getattr(value, field)
+                if text is not None:
+                    text = write(text)
+                    if text is not None:
+                        line += prefix + text
+            lines.append(line + "/>")
     return lines
 
 
@@ -721,7 +744,9 @@ def serialize_model(model: m.ProcessModel) -> bytes:
             f"    <bpmn:messageFlow id={q(flow.id)} "
             f"sourceRef={q(flow.source_id)} targetRef={q(flow.target_id)}"
         )
-        ext_lines = _gateway_ext_lines(flow.agentic) if flow.agentic else []
+        ext_lines = (
+            _ext_lines(_COLLAB_EXT, flow.agentic, "        ") if flow.agentic else []
+        )
         if ext_lines or flow.foreign_ext:
             add(open_tag + ">")
             _write_extensions(lines, "      ", ext_lines, flow.foreign_ext)
@@ -735,12 +760,7 @@ def serialize_model(model: m.ProcessModel) -> bytes:
         add(f"    <bpmn:laneSet id={q(pool.id + '-lanes')}>")
         for lane in pool.lanes:
             add(f"      <bpmn:lane id={q(lane.id)} name={q(lane.name)}>")
-            ext_lines = []
-            if lane.agentic is not None:
-                ext_lines.append(
-                    f"<hagent:agentProfile role={q(lane.agentic.role)}"
-                    f"{_trust_attr(lane.agentic.trust)}/>"
-                )
+            ext_lines = _ext_lines(_LANE_EXT, lane, "          ")
             _write_extensions(lines, "        ", ext_lines, lane.foreign_ext)
             for node_id in lane.node_ids:
                 add(f"        <bpmn:flowNodeRef>{escape(node_id)}</bpmn:flowNodeRef>")
@@ -810,20 +830,9 @@ def _write_node(lines, node: m.FlowNode):
 
     ext_lines: List[str] = []
     if isinstance(node, m.Task) and node.agentic is not None:
-        info = node.agentic
-        if info.reflection is not None:
-            refl = info.reflection
-            attrs = f" mode={quote_attr(refl.kind.value)}"
-            attrs += f" maxRounds={quote_attr(str(refl.max_rounds))}"
-            if refl.reviewer_lane_ids:
-                attrs += f" reviewers={quote_attr(','.join(refl.reviewer_lane_ids))}"
-            if refl.human_lane_id:
-                attrs += f" human={quote_attr(refl.human_lane_id)}"
-            ext_lines.append(f"<hagent:reflection{attrs}/>")
-        if info.trust is not None:
-            ext_lines.append(f"<hagent:uncertainty{_trust_attr(info.trust)}/>")
+        ext_lines = _ext_lines(_TASK_EXT, node.agentic, "        ")
     elif isinstance(node, m.Gateway) and node.agentic is not None:
-        ext_lines = _gateway_ext_lines(node.agentic)
+        ext_lines = _ext_lines(_COLLAB_EXT, node.agentic, "        ")
 
     if ext_lines or node.foreign_ext:
         lines.append(open_tag + ">")
@@ -835,7 +844,7 @@ def _write_node(lines, node: m.FlowNode):
 
 # -- extension-definition schema -------------------------------------------
 
-_EXTENSION_SCHEMA = f"""<?xml version="1.0" encoding="UTF-8"?>
+_SCHEMA_HEADER = f"""<?xml version="1.0" encoding="UTF-8"?>
 <xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"
     xmlns:hagent="{HAGENT_NS}"
     targetNamespace="{HAGENT_NS}"
@@ -855,77 +864,35 @@ _EXTENSION_SCHEMA = f"""<?xml version="1.0" encoding="UTF-8"?>
       <xsd:minLength value="1"/>
     </xsd:restriction>
   </xsd:simpleType>
-
-  <xsd:simpleType name="tReflectionMode">
-    <xsd:restriction base="xsd:string">
-      <xsd:enumeration value="self"/>
-      <xsd:enumeration value="cross"/>
-      <xsd:enumeration value="human"/>
-    </xsd:restriction>
-  </xsd:simpleType>
-
-  <xsd:simpleType name="tCollaborationMode">
-    <xsd:restriction base="xsd:string">
-      <xsd:enumeration value="competition"/>
-      <xsd:enumeration value="debate"/>
-      <xsd:enumeration value="role"/>
-      <xsd:enumeration value="voting"/>
-    </xsd:restriction>
-  </xsd:simpleType>
-
-  <xsd:simpleType name="tMergeStrategy">
-    <xsd:restriction base="xsd:string">
-      <xsd:enumeration value="voting.majority"/>
-      <xsd:enumeration value="voting.absolute"/>
-      <xsd:enumeration value="voting.minority"/>
-      <xsd:enumeration value="role.leaderDriven"/>
-      <xsd:enumeration value="role.composed"/>
-      <xsd:enumeration value="competition.fastest"/>
-      <xsd:enumeration value="competition.mostComplete"/>
-    </xsd:restriction>
-  </xsd:simpleType>
-
-  <!-- AgenticLane stereotype -->
-  <xsd:element name="agentProfile">
-    <xsd:complexType>
-      <xsd:attribute name="role" type="hagent:tRole" use="required"/>
-      <xsd:attribute name="trustScore" type="hagent:tTrustScore" use="optional"/>
-    </xsd:complexType>
-  </xsd:element>
-
-  <!-- AgenticTask stereotype -->
-  <xsd:element name="reflection">
-    <xsd:complexType>
-      <xsd:attribute name="mode" type="hagent:tReflectionMode" use="required"/>
-      <xsd:attribute name="maxRounds" type="xsd:positiveInteger" use="optional"/>
-      <xsd:attribute name="reviewers" type="xsd:string" use="optional"/>
-      <xsd:attribute name="human" type="xsd:string" use="optional"/>
-    </xsd:complexType>
-  </xsd:element>
-
-  <xsd:element name="uncertainty">
-    <xsd:complexType>
-      <xsd:attribute name="trustScore" type="hagent:tTrustScore" use="required"/>
-    </xsd:complexType>
-  </xsd:element>
-
-  <!-- AgenticOR / AgenticAND / AgenticMessageFlow stereotypes -->
-  <xsd:element name="collaboration">
-    <xsd:complexType>
-      <xsd:attribute name="mode" type="hagent:tCollaborationMode" use="required"/>
-    </xsd:complexType>
-  </xsd:element>
-
-  <xsd:element name="merge">
-    <xsd:complexType>
-      <xsd:attribute name="strategy" type="hagent:tMergeStrategy" use="required"/>
-    </xsd:complexType>
-  </xsd:element>
-
-</xsd:schema>
 """
 
 
+def _enum_type(row, attr) -> str:
+    """An enumeration is named after its element and attribute."""
+    return f"t{row.local[0].upper()}{row.local[1:]}{attr.name.capitalize()}"
+
+
 def export_extension_schema() -> bytes:
-    """Extension-definition XML Schema for the hagent vocabulary (static)."""
-    return _EXTENSION_SCHEMA.encode("utf-8")
+    """Extension-definition XML Schema, declared from ``_VOCABULARY``."""
+    lines = [_SCHEMA_HEADER]
+    for row in _VOCABULARY:
+        for attr in row.attrs:
+            if attr.lexical.members:
+                lines.append(f'  <xsd:simpleType name="{_enum_type(row, attr)}">')
+                lines.append('    <xsd:restriction base="xsd:string">')
+                for value in attr.lexical.members:
+                    lines.append(f"      <xsd:enumeration value={quote_attr(value)}/>")
+                lines += ["    </xsd:restriction>", "  </xsd:simpleType>", ""]
+    for row in _VOCABULARY:
+        if row.comment is not None:
+            lines.append(f"  <!-- {row.comment} -->")
+        lines += [f'  <xsd:element name="{row.local}">', "    <xsd:complexType>"]
+        for attr in row.attrs:
+            xsd = attr.lexical.xsd or "hagent:" + _enum_type(row, attr)
+            use = "required" if attr.required else "optional"
+            lines.append(
+                f'      <xsd:attribute name="{attr.name}" type="{xsd}" use="{use}"/>'
+            )
+        lines += ["    </xsd:complexType>", "  </xsd:element>", ""]
+    lines.append("</xsd:schema>\n")
+    return "\n".join(lines).encode("utf-8")

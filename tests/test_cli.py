@@ -134,3 +134,22 @@ def test_validate_unknown_encoding_fails_without_traceback(tmp_path, capsys):
     assert captured.err == ""
     assert main(["render", str(path), "-o", str(tmp_path / "out.svg")]) == EXIT_DOMAIN
     assert "unknown encoding: UTF-9" in capsys.readouterr().err
+
+
+def test_validate_deeply_nested_extension_fails_without_traceback(tmp_path, capsys):
+    depth = 3000
+    deep = '<x:a xmlns:x="urn:x">' + "<x:a>" * (depth - 1) + "</x:a>" * depth
+    path = tmp_path / "deep.bpmn"
+    path.write_bytes(
+        (FIXTURES / "bug-triage.bpmn").read_bytes().replace(
+            b'<hagent:uncertainty trustScore="80"/>',
+            b'<hagent:uncertainty trustScore="80"/>' + deep.encode(),
+            1,
+        )
+    )
+    assert main(["validate", str(path)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "E-XML task-check-validity: <a> is nested too deeply to preserve"
+    ]
+    assert captured.err == ""

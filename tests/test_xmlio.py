@@ -186,6 +186,37 @@ def test_cross_reflection_requires_reviewers():
     assert codes(result) == ["E-EXT"]
 
 
+def test_empty_human_reads_as_absent():
+    result = parse_ok(
+        minimal(
+            task_ext=(
+                "<bpmn:extensionElements>"
+                '<hagent:reflection mode="self" human=""/>'
+                "</bpmn:extensionElements>"
+            )
+        )
+    )
+    reflection = result.model.index["t-1"].agentic.reflection
+    assert reflection.human_lane_id is None
+    assert_round_trip(result.model)
+
+
+def test_human_reflection_with_empty_human_requires_lane_ref():
+    result = parse_model(
+        minimal(
+            task_ext=(
+                "<bpmn:extensionElements>"
+                '<hagent:reflection mode="human" human=""/>'
+                "</bpmn:extensionElements>"
+            )
+        )
+    )
+    assert result.model is None
+    assert [(d.code, d.element_id, d.message) for d in result.diagnostics] == [
+        ("E-EXT", "t-1", "human reflection requires a human lane")
+    ]
+
+
 def test_gateway_collaboration_and_merge():
     model = parse_ok(FIXTURE.read_bytes()).model
     div = model.index["gw-collab-open"]
@@ -389,6 +420,49 @@ def test_unsupported_element_preserved_with_warning():
     # the blob survives a serialize/parse cycle
     again = parse_model(serialize_model(result.model))
     assert any("userTask" in frag for frag in again.model.pools[0].opaque_elements)
+
+
+DEPTH = 3000
+
+
+def nested(tag, namespace=""):
+    return f"<{tag}{namespace}>" + f"<{tag}>" * (DEPTH - 1) + f"</{tag}>" * DEPTH
+
+
+DEEP_DOCUMENTS = {
+    "foreign-extension": (
+        minimal(
+            task_ext="<bpmn:extensionElements>"
+            + nested("x:a", ' xmlns:x="urn:x"')
+            + "</bpmn:extensionElements>"
+        ),
+        "t-1",
+        "a",
+    ),
+    "unsupported-process-element": (
+        minimal().replace(
+            '<bpmn:endEvent id="n-end"/>',
+            '<bpmn:endEvent id="n-end"/>' + nested("bpmn:foo"),
+        ),
+        "p1",
+        "foo",
+    ),
+    "unsupported-top-level-element": (
+        doc(MINIMAL_PROCESS.format(lane_ext="", task_ext="") + nested("bpmn:foo")),
+        "doc",
+        "foo",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+def test_opaque_content_nested_too_deeply_is_a_diagnostic(name):
+    document, element_id, local = DEEP_DOCUMENTS[name]
+    result = parse_model(document)
+    assert result.model is None
+    assert [(d.code, d.element_id, d.message) for d in result.errors] == [
+        ("E-XML", element_id, f"<{local}> is nested too deeply to preserve")
+    ]
 
 
 # -- round-trips -------------------------------------------------------------

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import old_xmlio
 from hagent import model as m
-from hagent.render import render_svg
+from hagent.render import MissingLayout, render_svg
+from hagent.simulate import ScenarioPolicy, SimulationError, load_scenario, run_simulation
+from hagent.validate import validate_model
 from hagent.xmlio import (
     BPMN_NS,
     HAGENT_NS,
@@ -33,6 +35,7 @@ from hagent.xmlio import (
 from conftest import FIXTURES
 
 FIXTURE_BYTES = (FIXTURES / "bug-triage.bpmn").read_bytes()
+SCENARIO = load_scenario((FIXTURES / "bug-triage.scn.yaml").read_bytes())
 
 
 def sha256(data):
@@ -73,14 +76,17 @@ def test_extension_schema_bytes_are_pinned():
 _XSD_INTEGER = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
 
 
+def _elements(document):
+    try:
+        return ET.fromstring(document).iter()
+    except (ET.ParseError, LookupError, ValueError):
+        return ()
+
+
 def _loose_max_rounds(document):
     """Whether some maxRounds is an int() literal outside xsd:integer, which
     the old reader took and the new one rejects."""
-    try:
-        root = ET.fromstring(document)
-    except (ET.ParseError, LookupError, ValueError):
-        return False
-    for elem in root.iter():
+    for elem in _elements(document):
         raw = elem.get("maxRounds")
         if raw is not None and not _XSD_INTEGER.fullmatch(raw):
             try:
@@ -89,6 +95,12 @@ def _loose_max_rounds(document):
                 continue
             return True
     return False
+
+
+def _empty_human(document):
+    """Whether some human is empty, which the old reader kept as "" and the
+    new one reads as absent (both write it as absent)."""
+    return any(elem.get("human") == "" for elem in _elements(document))
 
 
 def assert_readers_agree(document):
@@ -105,7 +117,8 @@ def assert_readers_agree(document):
     if _loose_max_rounds(document):
         return
     assert new.diagnostics == old.diagnostics
-    assert new.model == old.model
+    if not _empty_human(document):
+        assert new.model == old.model
     if new.model is not None:
         assert serialize_model(new.model) == old_xmlio.serialize_model(old.model)
 
@@ -194,6 +207,40 @@ CORPUS = {
             '<hagent:collaboration mode="debate"/><hagent:merge strategy="role.composed"/>'
         ).encode()
         + b"</bpmn:messageFlow></bpmn:collaboration>",
+    ),
+    # absent required attributes, read as they always were
+    "uncertainty-without-trust": _replace(
+        b'<hagent:uncertainty trustScore="80"/>', b"<hagent:uncertainty/>"
+    ),
+    "collaboration-without-mode": _replace(
+        b'<hagent:collaboration mode="role"/>', b"<hagent:collaboration/>"
+    ),
+    "merge-without-strategy": _replace(
+        b'<hagent:merge strategy="role.leaderDriven"/>', b"<hagent:merge/>"
+    ),
+    "reflection-without-mode": _replace(
+        b'<hagent:reflection mode="self" maxRounds="3"/>',
+        b'<hagent:reflection maxRounds="0"/>',
+    ),
+    "empty-role": _replace(b'role="manager"', b'role=""'),
+    "two-unknown-attributes": _replace(
+        b'<hagent:uncertainty trustScore="80"/>',
+        b'<hagent:uncertainty a="1" trustScore="80" b="2"/>',
+    ),
+    "lane-with-two-unexpected-elements-and-no-role": _fragment(
+        "",
+        lane_ext=EXT.format(
+            '<hagent:merge strategy="voting.majority"/><hagent:agentProfile/>'
+            '<hagent:foo/>'
+        ),
+    ),
+    "cross-reflection-with-blank-reviewers": _replace(
+        b'<hagent:reflection mode="self" maxRounds="3"/>',
+        b'<hagent:reflection mode="cross" reviewers=" , "/>',
+    ),
+    "empty-human": _replace(
+        b'<hagent:reflection mode="self" maxRounds="3"/>',
+        b'<hagent:reflection mode="self" human=""/>',
     ),
     "unknown-encoding": FIXTURE_BYTES.replace(b"UTF-8", b"UTF-9", 1),
     "multi-byte-encoding": FIXTURE_BYTES.replace(b"UTF-8", b"utf-32", 1),
@@ -319,6 +366,27 @@ def test_readers_agree_on_mutated_fixtures(document):
     assert_readers_agree(document)
 
 
+# -- the whole pipeline on mutated documents ----------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
+def test_pipeline_is_total_on_mutated_fixtures(document):
+    model = parse_model(document).model
+    if model is None:
+        return
+    validate_model(model)
+    try:
+        render_svg(model)
+    except MissingLayout:
+        pass
+    for scenario in (ScenarioPolicy(), SCENARIO):
+        try:
+            run_simulation(model, scenario)
+        except SimulationError:
+            pass
+
+
 # -- the writer against the old one --------------------------------------------
 
 _text = st.text(
@@ -341,6 +409,47 @@ def test_writers_agree_on_names_that_need_quoting(names, trust):
     ) + lanes[2:]
     pool = replace(pool, name=names[3], lanes=lanes, nodes=nodes)
     model = replace(model, pools=(pool,))
+    assert serialize_model(model) == old_xmlio.serialize_model(model)
+
+
+_trust = st.one_of(st.none(), st.integers(-3, 103).map(m.TrustScore))
+_reflection = st.builds(
+    m.ReflectionMode,
+    kind=st.sampled_from(m.ReflectionKind),
+    max_rounds=st.integers(0, 5),
+    reviewer_lane_ids=st.lists(_text, max_size=3).map(tuple),
+    human_lane_id=st.one_of(st.none(), st.just(""), _text),
+)
+_task_info = st.one_of(
+    st.none(),
+    st.builds(
+        m.AgenticTaskInfo, reflection=st.one_of(st.none(), _reflection), trust=_trust
+    ),
+)
+_profile = st.one_of(st.none(), st.builds(m.AgentProfile, role=_text, trust=_trust))
+
+
+@st.composite
+def extension_variants(draw):
+    """The fixture with every lane profile, every task's agentic info and
+    every agentic gateway's trust drawn anew."""
+    model = parse_model(FIXTURE_BYTES).model
+    pool = model.pools[0]
+    lanes = tuple(replace(ln, agentic=draw(_profile)) for ln in pool.lanes)
+    nodes = []
+    for node in pool.nodes:
+        if isinstance(node, m.Task):
+            node = replace(node, agentic=draw(_task_info))
+        elif isinstance(node, m.Gateway) and node.agentic is not None:
+            node = replace(node, agentic=replace(node.agentic, trust=draw(_trust)))
+        nodes.append(node)
+    pool = replace(pool, lanes=lanes, nodes=tuple(nodes))
+    return replace(model, pools=(pool,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_variants())
+def test_writers_agree_on_extension_variants(model):
     assert serialize_model(model) == old_xmlio.serialize_model(model)
 
 
