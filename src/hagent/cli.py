@@ -109,7 +109,7 @@ def cmd_simulate(args) -> int:
         return EXIT_DOMAIN
     try:
         scenario = simulate.load_scenario(_read(args.scenario))
-    except Exception as exc:
+    except (ValueError, m.ModelError) as exc:
         print(f"hagent: bad scenario file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     if args.seed is not None:

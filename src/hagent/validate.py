@@ -276,6 +276,41 @@ def _check_missing_trust(model):
     return out
 
 
+def _check_extension_values(model):
+    # values a built model may hold that serialize_model cannot write in a
+    # form parse_model reads back; in a document parse_model reports them
+    out = []
+
+    def problem(element_id, message):
+        out.append(_diag("E-EXT", Severity.ERROR, element_id, message))
+
+    task, cross = m.Task, m.ReflectionKind.CROSS  # looked up once per model
+    for pool in model.pools:
+        for lane in pool.lanes:
+            if lane.agentic is not None and not lane.agentic.role:
+                problem(lane.id, "agentProfile requires a role")
+        for node in pool.nodes:
+            if not isinstance(node, task) or node.agentic is None:
+                continue
+            info = node.agentic
+            refl = info.reflection
+            if refl is None:
+                if info.trust is None:
+                    problem(node.id, "agentic task has neither reflection nor uncertainty")
+                continue
+            if refl.max_rounds < 1:
+                problem(node.id, f"maxRounds {str(refl.max_rounds)!r} must be a positive integer")
+            if refl.kind is cross and not refl.reviewer_lane_ids:
+                problem(node.id, "cross reflection requires reviewers")
+            for lane_id in refl.reviewer_lane_ids:
+                # the reviewers attribute is a comma-separated, stripped list
+                if not lane_id or lane_id != lane_id.strip() or "," in lane_id:
+                    problem(node.id, f"reviewers cannot hold the lane id {lane_id!r}")
+            if refl.human_lane_id == "":
+                problem(node.id, "an empty human lane id reads back as none")
+    return out
+
+
 CATALOG: List[Rule] = [
     Rule("E-PAIR", Severity.ERROR, "diverging agentic gateway has a matching merge", _check_pair),
     Rule("E-MGR", Severity.ERROR, "leader-driven/debate region has a manager decider", _check_manager),
@@ -290,8 +325,9 @@ CATALOG: List[Rule] = [
 
 
 def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
-    """All rule violations, ordered by (rule code, element id)."""
-    out: List[Diagnostic] = []
+    """All rule violations, and ``E-EXT`` for extension values that the XML
+    form cannot carry, ordered by (rule code, element id)."""
+    out: List[Diagnostic] = _check_extension_values(model)
     for rule in CATALOG:
         out.extend(rule.check(model))
     out.sort(key=lambda d: (d.code, d.element_id or ""))

@@ -1,5 +1,9 @@
 import json
+from unittest import mock
 
+import pytest
+
+from hagent import simulate
 from hagent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hagent.xmlio import export_extension_schema
 
@@ -69,6 +73,24 @@ def test_simulate_bad_scenario_fails(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("tasks: [not, a, mapping]")
     assert main(["simulate", FIXTURE, "--scenario", str(bad)]) == EXIT_DOMAIN
+
+
+def test_simulate_scenario_loader_bug_is_not_a_bad_scenario():
+    # only the errors load_scenario documents read as "bad scenario file"
+    with mock.patch.object(simulate, "load_scenario", side_effect=TypeError("bug")):
+        with pytest.raises(TypeError, match="bug"):
+            main(["simulate", FIXTURE, "--scenario", SCENARIO])
+
+
+def test_simulate_scenario_with_mistagged_value_fails(tmp_path, capsys):
+    scenario = tmp_path / "tag.scn.yaml"
+    scenario.write_text(
+        (FIXTURES / "bug-triage.scn.yaml").read_text().replace(
+            "latencyMs: 120", "latencyMs: !!int ''"
+        )
+    )
+    assert main(["simulate", FIXTURE, "--scenario", str(scenario)]) == EXIT_DOMAIN
+    assert "bad scenario file" in capsys.readouterr().err
 
 
 def test_render_to_file(tmp_path):

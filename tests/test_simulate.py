@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -594,6 +595,9 @@ def test_load_scenario_empty_document():
         "tasks: {t-1: {outputs: [{label: a, confidence: -0.5}]}}",
         "tasks: {t-1: {outputs: [{label: a, confidence: true}]}}",
         "seed: 1.9",
+        "seed: !!int ''",
+        "seed: !!bool x",
+        "seed: !!timestamp x",
     ],
     ids=[
         "confidence-900",
@@ -608,6 +612,9 @@ def test_load_scenario_empty_document():
         "confidence-negative-fraction",
         "confidence-bool",
         "seed-fraction",
+        "empty-int-tag",
+        "bool-tag-on-text",
+        "timestamp-tag-on-text",
     ],
 )
 def test_load_scenario_rejects_bad_values(document):
@@ -665,13 +672,15 @@ def test_load_scenario_rejects_invalid_yaml():
     assert isinstance(info.value.__cause__, yaml.YAMLError)
 
 
-def test_load_scenario_rejects_deep_nesting():
-    # in a child interpreter, so that a composer that overflows the C stack
-    # fails this test (by a signal) instead of ending the test run
+def _load_in_child(document):
+    """What a child interpreter prints after loading the scenario that the
+    expression ``document`` builds: the ValueError and its cause's class.
+    A child, so that a composer that overflows the C stack fails the test
+    (by a signal) instead of ending the test run."""
     code = (
         "from hagent import simulate as sim\n"
         "try:\n"
-        "    sim.load_scenario('a: ' + '[' * 100_000 + ']' * 100_000)\n"
+        f"    sim.load_scenario({document})\n"
         "except ValueError as exc:\n"
         "    print(exc, type(exc.__cause__).__name__)\n"
     )
@@ -684,7 +693,21 @@ def test_load_scenario_rejects_deep_nesting():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout == "scenario nests too deeply RecursionError\n"
+    return done.stdout
+
+
+def test_load_scenario_rejects_deep_nesting():
+    assert (
+        _load_in_child("'a: ' + '[' * 100_000 + ']' * 100_000")
+        == "scenario nests too deeply RecursionError\n"
+    )
+
+
+def test_load_scenario_rejects_deep_block_nesting():
+    assert (
+        _load_in_child("'a:\\n  ' + '- ' * 100_000 + 'x'")
+        == "scenario nests too deeply RecursionError\n"
+    )
 
 
 def test_scenario_loader_parses_with_libyaml():
@@ -727,6 +750,9 @@ _scenario = st.fixed_dictionaries(
 )
 
 
+_EXPLICIT_KEY = re.compile(r"(?:^|[\n{,]) *\? ")
+
+
 @settings(max_examples=300, deadline=None)
 @given(_scenario, st.booleans(), st.booleans())
 def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_unicode):
@@ -737,41 +763,55 @@ def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_un
     if "\x85" not in text:
         assert raw == document
     assert yaml.load(text, Loader=sim._ScenarioLoader) == raw
-    # the one-pass build takes every generated scenario, with the same values
-    doc = sim._build_values(text)
-    assert doc is not sim._HAND_OFF
-    assert repr(doc) == repr(raw)
+    assert repr(_raw_document(text)) == repr(raw)
+    # the scanner takes every generated scenario written in block style, or
+    # in flow style on one line, that holds no backslash escape; a raw NEL,
+    # LS or PS is a line break to YAML, so a scalar holding one spans lines,
+    # and the emitter writes an empty key as an explicit "? " key
+    one_line = not flow or text.count("\n") == 1
+    if (
+        one_line
+        and not any(c in text for c in "\\\x85\u2028\u2029")
+        and not _EXPLICIT_KEY.search(text)
+    ):
+        assert sim._scan(text) is not sim._HAND_OFF
     with mock.patch.object(sim, "_ScenarioLoader", yaml.SafeLoader):
         expected = sim.load_scenario(text)
     assert sim.load_scenario(text) == expected
 
 
-# -- one-pass build of the YAML document -------------------------------------
+# -- the scanner against the composing loader ---------------------------------
 
-# (document, whether the one-pass build hands it to the composing loader)
+
+def _block_nest(depth):
+    """``depth`` block mappings, each nested in the one before."""
+    return "".join(f"{' ' * i}k:\n" for i in range(depth - 1)) + " " * (depth - 1) + "k: v\n"
+
+
+# (document, whether the scanner hands it to the composing loader)
 _YAML_CORPUS = {
     "empty-stream": ("", False),
     "comment-only": ("# only a comment\n", False),
-    "empty-document": ("---\n...\n", False),
+    "empty-document": ("---\n...\n", True),
     "null-document": ("~", False),
     "text-document": ("plain text", False),
-    "integers": ("[1, -3, +4, 0x1f, 0o17, 017, 0b101, 1_000, 1:20, 0]", False),
-    "floats": ("[1e3, 1.0e+3, 2.5, .5, .inf, -.Inf, .nan, .NaN, 1:20.5]", False),
+    "integers": ("[1, -3, +4, 0x1f, 0o17, 017, 0b101, 1_000, 1:20, 0]", True),
+    "floats": ("[1e3, 1.0e+3, 2.5, .5, .inf, -.Inf, .nan, .NaN, 1:20.5]", True),
     "bools-and-nulls": ("[yes, No, on, OFF, y, n, true, False, null, Null, ~, '']", False),
     "timestamps": (
         "[2001-12-14, 2001-12-14t21:59:43.10-05:00, 2001-12-14 21:59:43.10,"
         " 2001-12-15T02:59:43.1Z]",
-        False,
+        True,
     ),
     "duplicate-keys": ("a: 1\na: 2\nb: [x]\nb: {y: z}", False),
     "equal-scalar-keys": ("{1: a, 1.0: b, true: c, ~: d, 2001-01-01: e}", False),
     "quoted-and-block": (
         "a: 'quoted: yes'\nb: \"esc\\tape \\u00e9\"\nc: |\n  block\n  text\n"
         "d: >-\n  folded\n  text\ne: '12'\n",
-        False,
+        True,
     ),
     "nested-blocks": ("- - - - [deep]\n  - x\n- {}\n- []\n", False),
-    "version-directive": ("%YAML 1.1\n---\na: 1", False),
+    "version-directive": ("%YAML 1.1\n---\na: 1", True),
     "nesting-at-bound": ("[" * 64 + "]" * 64, False),
     "nesting-over-bound": ("a: " + "[" * 64 + "]" * 64, True),
     "value-scalar": ("a: =", True),
@@ -801,12 +841,37 @@ _YAML_CORPUS = {
     "impossible-date": ("a: 2001-02-30", True),
     "impossible-hour": ("a: 2001-12-14 25:59:43", True),
     "impossible-offset": ("a: 2001-12-14t21:59:43.10+25:00", True),
-    "unclosed-flow": ("a: [", False),
-    "colon-in-plain": ("a: b: c", False),
-    "unclosed-mapping": ("{a: 1", False),
-    "bad-indent": ("a:\n- b\n c: d", False),
-    "unclosed-quote": ("'x", False),
-    "tab-indent": ("\t- a", False),
+    "unclosed-flow": ("a: [", True),
+    "colon-in-plain": ("a: b: c", True),
+    "unclosed-mapping": ("{a: 1", True),
+    "bad-indent": ("a:\n- b\n c: d", True),
+    "unclosed-quote": ("'x", True),
+    "tab-indent": ("\t- a", True),
+    # at the edges of the scanner's subset
+    "trailing-comments": ("a: b # c\nd: [1, 2] # e\nf: 'g'  # h\n  # i\n", False),
+    "hash-in-plain": ("a#b", False),
+    "dedent-to-unopened-indent": ("a:\n    b: 1\n  c: 2\n", True),
+    "compact-entries": ("- k: v\n  l: w\n- - x\n  - y\n-\n- k:\n", False),
+    "sequence-at-key-indent": ("a:\n- x\n- k: v\n  l: w\nb:\n  - y\nc: 1\n", False),
+    "nested-one-line-flow": ("a: [1, [2, {b: [c, {}]}], {d: e}]", False),
+    "flow-trailing-comma": ("{a: 1,}", False),
+    "empty-flows": ("a: []\nb: {}\nc: [ ]\n", False),
+    "flow-empty-value": ("{a: }", True),
+    "flow-sequence-pair": ("[a: 1]", True),
+    "json-style-key": ('{"a":1}', True),
+    "quoted-keys": ("'a b': 1\n\"c d\": 2\n'it''s': ''\n", False),
+    "escaped-double-quote": ('a: "a\\"b"', True),
+    "octal-underscore-hex": ("a: 017\nb: 1_000\nc: 0x1f\nd: 1:20\n", False),
+    "non-ascii-plain": ("été: 日本語 \U0001f600", False),
+    "crlf": ("a: 1\r\nb: 2\r\n", True),
+    "byte-order-mark": ("\ufeffa: 1", True),
+    "key-over-1024": ("a" * 1025 + ": v", True),
+    "block-nesting-at-bound": (_block_nest(64), False),
+    "block-nesting-over-bound": (_block_nest(65), True),
+    "compact-nesting-at-bound": ("- " * 64 + "x", False),
+    "compact-nesting-over-bound": ("- " * 65 + "x", True),
+    "value-ending-in-colon": ("a: b:", True),
+    "comment-before-colon": ("a #b: c", True),
 }
 
 
@@ -819,7 +884,7 @@ def _outcome(load, text):
 
 
 def _raw_document(text):
-    doc = sim._build_values(text)
+    doc = sim._scan(text)
     return yaml.load(text, Loader=sim._ScenarioLoader) if doc is sim._HAND_OFF else doc
 
 
@@ -833,18 +898,18 @@ def test_one_pass_build_agrees_with_safe_loader(text, handed_off, events):
     expected = _outcome(lambda t: yaml.load(t, Loader=yaml.SafeLoader), text)
     with mock.patch.object(sim, "_ScenarioLoader", events):
         assert _outcome(_raw_document, text) == expected
-        try:
-            doc = sim._build_values(text)
-        except yaml.YAMLError as exc:
-            assert not handed_off
-            # the composing loader stops at the same event, with the same error
-            with pytest.raises(yaml.YAMLError) as composed:
-                yaml.load(text, Loader=events)
-            assert str(exc) == str(composed.value)
-        else:
-            assert (doc is sim._HAND_OFF) == handed_off
+    # the scanner raises nothing: it hands every syntax error to the
+    # composing loader, which reports it
+    assert (sim._scan(text) is sim._HAND_OFF) == handed_off
 
 
+def test_scanner_hands_off_a_tab_after_a_value():
+    # libyaml reads the tab as white space where PyYAML's scanner refuses
+    # it, so the composing loader in use decides
+    assert sim._scan("a: 1\t\nb: 2") is sim._HAND_OFF
+
+
+FIXTURE_SCENARIO = (FIXTURES / "bug-triage.scn.yaml").read_text(encoding="utf-8")
 # the shape hagent's benchmark decks write: flow-style outputs, quoted payloads
 _BENCH_SHAPED = """\
 # scenario for deleg-0001
@@ -880,5 +945,61 @@ def test_scenarios_load_without_hand_off(text):
     expected = yaml.safe_load(text)
     with mock.patch.object(yaml, "load", side_effect=AssertionError("handed off")):
         scenario = sim.load_scenario(text)
-        assert sim._build_values(text) == expected
+        source = text.decode("utf-8") if isinstance(text, bytes) else text
+        assert repr(sim._scan(source)) == repr(expected)
     assert scenario.per_task and scenario.per_lane
+
+
+# -- mutated scenarios: the scanner's differential gate ------------------------
+
+_SCENARIO_TOKENS = ["\t", "\r", "\ufeff", "#", ": ", "- ", "&a", "*a", "!!str", "|",
+                    "'", '"', "\\", "{", "[", "---"]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """The fixture scenario or the bench-shaped one after 1-3 mutations:
+    character deletions, line splices, indentation shifts and insertions of
+    YAML indicators, anywhere or after a line's indentation."""
+    text = draw(st.sampled_from([FIXTURE_SCENARIO, _BENCH_SHAPED]))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "splice", "indent", "insert", "insert-at-line"]))
+        lines = text.split("\n")
+        row = draw(st.integers(0, len(lines) - 1))
+        line = lines[row]
+        if op == "delete":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        elif op == "splice":  # a copy of a line, often a whole entry, at a line start
+            lines.insert(draw(st.integers(0, len(lines))), line)
+            text = "\n".join(lines)
+        elif op == "indent":
+            shift = draw(st.sampled_from([-2, -1, 1, 2]))
+            lines[row] = " " * shift + line if shift > 0 else line[:-shift].lstrip(" ") + line[-shift:]
+            text = "\n".join(lines)
+        else:
+            token = draw(st.sampled_from(_SCENARIO_TOKENS))
+            if op == "insert":
+                at = draw(st.integers(0, len(text)))
+                text = text[:at] + token + text[at:]
+            else:
+                indent = len(line) - len(line.lstrip(" "))
+                lines[row] = line[:indent] + token + line[indent:]
+                text = "\n".join(lines)
+    return text
+
+
+def _load_outcome(text):
+    # any exception but the documented ones fails the test
+    try:
+        return "value", repr(sim.load_scenario(text))
+    except (ValueError, m.OutOfRange) as exc:
+        return "error", type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios())
+def test_scanner_agrees_with_composing_loader_on_mutated_scenarios(text):
+    outcome = _load_outcome(text)
+    with mock.patch.object(sim, "_scan", return_value=sim._HAND_OFF):
+        assert _load_outcome(text) == outcome

@@ -1,8 +1,10 @@
 from dataclasses import replace
 
+import pytest
+
 from hagent import model as m
 from hagent.validate import CATALOG, render_diagnostics, validate_model
-from hagent.xmlio import Severity, parse_model
+from hagent.xmlio import Severity, parse_model, serialize_model
 
 from builders import (
     lane,
@@ -175,6 +177,53 @@ def test_e_refl_ref_human_lane_must_be_non_agentic():
     assert codes(model) == ["E-REFL-REF"]
     fixed = replace_lane(model, "lane-b2", agentic=None)
     assert codes(fixed) == []
+
+
+def _self_reflection(**fields):
+    return m.AgenticTaskInfo(
+        reflection=m.ReflectionMode(kind=m.ReflectionKind.SELF, **fields)
+    )
+
+
+@pytest.mark.parametrize(
+    "lane_profile, task_info, element_id, message",
+    [
+        (m.AgentProfile(role=""), None, "lane-a", "agentProfile requires a role"),
+        (None, _self_reflection(max_rounds=0), "t-1",
+         "maxRounds '0' must be a positive integer"),
+        (None, m.AgenticTaskInfo(), "t-1",
+         "agentic task has neither reflection nor uncertainty"),
+        (None, m.AgenticTaskInfo(reflection=m.ReflectionMode(kind=m.ReflectionKind.CROSS)),
+         "t-1", "cross reflection requires reviewers"),
+        (None, _self_reflection(reviewer_lane_ids=(" lane-a",)), "t-1",
+         "reviewers cannot hold the lane id ' lane-a'"),
+        (None, _self_reflection(reviewer_lane_ids=("a,b",)), "t-1",
+         "reviewers cannot hold the lane id 'a,b'"),
+        (None, _self_reflection(human_lane_id=""), "t-1",
+         "an empty human lane id reads back as none"),
+    ],
+    ids=["empty-role", "zero-rounds", "empty-task-info", "cross-without-reviewers",
+         "spaced-reviewer", "comma-in-reviewer", "empty-human"],
+)
+def test_e_ext_on_values_the_xml_form_cannot_carry(
+    lane_profile, task_info, element_id, message
+):
+    model = replace_lane(linear_model(), "lane-a", agentic=lane_profile)
+    model = replace_node(model, "t-1", replace(model.index["t-1"], agentic=task_info))
+    errors = [
+        (d.code, d.element_id, d.message)
+        for d in validate_model(model)
+        if d.severity is Severity.ERROR
+    ]
+    assert errors == [("E-EXT", element_id, message)]
+    # serialize_model writes what parse_model refuses with the same message,
+    # or reads back as another model
+    back = parse_model(serialize_model(model))
+    assert back.model != model
+    if back.model is None:
+        assert ("E-EXT", element_id, message) in [
+            (d.code, d.element_id, d.message) for d in back.diagnostics
+        ]
 
 
 def test_e_msg_dir():

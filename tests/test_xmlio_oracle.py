@@ -26,6 +26,7 @@ from hagent.validate import validate_model
 from hagent.xmlio import (
     BPMN_NS,
     HAGENT_NS,
+    Severity,
     export_extension_schema,
     parse_model,
     quote_attr,
@@ -413,33 +414,41 @@ def test_writers_agree_on_names_that_need_quoting(names, trust):
 
 
 _trust = st.one_of(st.none(), st.integers(-3, 103).map(m.TrustScore))
-_reflection = st.builds(
-    m.ReflectionMode,
-    kind=st.sampled_from(m.ReflectionKind),
-    max_rounds=st.integers(0, 5),
-    reviewer_lane_ids=st.lists(_text, max_size=3).map(tuple),
-    human_lane_id=st.one_of(st.none(), st.just(""), _text),
-)
-_task_info = st.one_of(
-    st.none(),
-    st.builds(
-        m.AgenticTaskInfo, reflection=st.one_of(st.none(), _reflection), trust=_trust
-    ),
-)
 _profile = st.one_of(st.none(), st.builds(m.AgentProfile, role=_text, trust=_trust))
 
 
+def _task_infos(lane_ref):
+    reflection = st.builds(
+        m.ReflectionMode,
+        kind=st.sampled_from(m.ReflectionKind),
+        max_rounds=st.integers(0, 5),
+        reviewer_lane_ids=st.lists(lane_ref, max_size=3).map(tuple),
+        human_lane_id=st.one_of(st.none(), st.just(""), lane_ref),
+    )
+    return st.one_of(
+        st.none(),
+        st.builds(
+            m.AgenticTaskInfo, reflection=st.one_of(st.none(), reflection), trust=_trust
+        ),
+    )
+
+
 @st.composite
-def extension_variants(draw):
-    """The fixture with every lane profile, every task's agentic info and
-    every agentic gateway's trust drawn anew."""
+def extension_variants(draw, lane_ref=_text, kept_lanes=()):
+    """The fixture with every lane profile (but those of ``kept_lanes``),
+    every task's agentic info and every agentic gateway's trust drawn anew;
+    reflections name lanes drawn from ``lane_ref``."""
     model = parse_model(FIXTURE_BYTES).model
     pool = model.pools[0]
-    lanes = tuple(replace(ln, agentic=draw(_profile)) for ln in pool.lanes)
+    lanes = tuple(
+        ln if ln.id in kept_lanes else replace(ln, agentic=draw(_profile))
+        for ln in pool.lanes
+    )
+    task_info = _task_infos(lane_ref)
     nodes = []
     for node in pool.nodes:
         if isinstance(node, m.Task):
-            node = replace(node, agentic=draw(_task_info))
+            node = replace(node, agentic=draw(task_info))
         elif isinstance(node, m.Gateway) and node.agentic is not None:
             node = replace(node, agentic=replace(node.agentic, trust=draw(_trust)))
         nodes.append(node)
@@ -453,6 +462,23 @@ def test_writers_agree_on_extension_variants(model):
     assert serialize_model(model) == old_xmlio.serialize_model(model)
 
 
+# the fixture's lane ids, or text; the manager lane keeps its profile, so
+# that the region has its decider and a share of the drawn models is valid
+_LANE_IDS = tuple(ln.id for ln in parse_model(FIXTURE_BYTES).model.pools[0].lanes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extension_variants(
+        lane_ref=st.one_of(st.sampled_from(_LANE_IDS), _text), kept_lanes={"lane-reviewer"}
+    )
+)
+def test_models_that_validate_round_trip(model):
+    if any(d.severity is Severity.ERROR for d in validate_model(model)):
+        return
+    assert parse_model(serialize_model(model)).model == model
+
+
 @pytest.mark.parametrize(
     "value",
     ["plain-id", "", "it's", 'say "hi"', "a & b", "<x>", "tab\there", "cr\rlf\n",
@@ -460,3 +486,4 @@ def test_writers_agree_on_extension_variants(model):
 )
 def test_quote_attr_matches_quoteattr(value):
     assert quote_attr(value) == quoteattr(value)
+
