@@ -8,6 +8,7 @@ text to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,7 +25,10 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and shared by every later one, so
+    # nothing may change it after this returns; main only parses with it
     parser = argparse.ArgumentParser(
         prog="hagent",
         description="Parse, validate, simulate, and render human-agentic BPMN models.",

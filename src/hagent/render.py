@@ -8,6 +8,7 @@ comparison, and every shape carries ``data-element-id``.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Tuple
 from xml.sax.saxutils import escape
 
@@ -85,16 +86,16 @@ def _ranks(pool: m.Pool) -> Dict[str, int]:
         succ[flow.source_id].append(flow.target_id)
         indeg[flow.target_id] += 1
     rank = {n.id: 0 for n in pool.nodes}
+    # ready nodes leave in id order; a sorted list is already a heap
     queue = sorted(n for n, d in indeg.items() if d == 0)
     remaining = dict(indeg)
     while queue:
-        node = queue.pop(0)
+        node = heapq.heappop(queue)
         for s in succ[node]:
             rank[s] = max(rank[s], rank[node] + 1)
             remaining[s] -= 1
             if remaining[s] == 0:
-                queue.append(s)
-        queue.sort()
+                heapq.heappush(queue, s)
     # nodes on cycles never reach indegree 0; rank them after their
     # lowest-ranked predecessor deterministically
     for node in sorted(remaining):

@@ -8,10 +8,11 @@ identical diagnostic lists.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import Callable, List, NamedTuple
 
 from hagent import model as m
-from hagent.xmlio import Diagnostic, Severity
+from hagent.xmlio import Diagnostic, Severity, written_texts
 
 
 class Rule(NamedTuple):
@@ -276,6 +277,10 @@ def _check_missing_trust(model):
     return out
 
 
+# characters outside XML 1.0's Char production, lone surrogates included
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _check_extension_values(model):
     # values a built model may hold that serialize_model cannot write in a
     # form parse_model reads back; in a document parse_model reports them
@@ -311,6 +316,26 @@ def _check_extension_values(model):
     return out
 
 
+def _check_xml_chars(model):
+    # one pass over every text the writer puts into the document, joined; a
+    # printable text holds none of these characters, and isprintable is
+    # cheaper than the search.  The culprits are looked for only on a hit
+    joined = "".join(chain.from_iterable(texts for _, _, texts in written_texts(model)))
+    if joined.isprintable() or not _NOT_XML_CHAR.search(joined):
+        return []
+    return [
+        _diag(
+            "E-XML",
+            Severity.ERROR,
+            None if element is model else element.id,
+            f"{field} {text!r} holds {char!r}, which XML 1.0 cannot carry",
+        )
+        for field, elements, texts in written_texts(model)
+        for element, text in zip(elements, texts)
+        for char in dict.fromkeys(_NOT_XML_CHAR.findall(text))
+    ]
+
+
 CATALOG: List[Rule] = [
     Rule("E-PAIR", Severity.ERROR, "diverging agentic gateway has a matching merge", _check_pair),
     Rule("E-MGR", Severity.ERROR, "leader-driven/debate region has a manager decider", _check_manager),
@@ -325,9 +350,10 @@ CATALOG: List[Rule] = [
 
 
 def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
-    """All rule violations, and ``E-EXT`` for extension values that the XML
-    form cannot carry, ordered by (rule code, element id)."""
-    out: List[Diagnostic] = _check_extension_values(model)
+    """All rule violations, ``E-EXT`` for extension values that the XML
+    form cannot carry and ``E-XML`` for characters XML 1.0 cannot carry,
+    ordered by (rule code, element id)."""
+    out: List[Diagnostic] = _check_extension_values(model) + _check_xml_chars(model)
     for rule in CATALOG:
         out.extend(rule.check(model))
     out.sort(key=lambda d: (d.code, d.element_id or ""))

@@ -14,7 +14,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, fields
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 from xml.sax.saxutils import escape, quoteattr
 
 from hagent import model as m
@@ -808,6 +808,42 @@ def serialize_model(model: m.ProcessModel) -> bytes:
         _write_raw(lines, "  ", frag)
     add("</bpmn:definitions>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def written_texts(model: m.ProcessModel) -> Iterator[Tuple[str, Iterable, Iterable[str]]]:
+    """Every text ``serialize_model`` writes into the document but opaque
+    fragments, as ``(field, elements, texts)``: the n-th text is held by the
+    n-th element (the model holds its own id).  A reference is written as
+    the id of the element it names, so of the references only a reflection's
+    lane ids, which need name no lane, are listed.  The elements of the
+    reviewer lane ids are built only when read."""
+    index = model.index
+    yield "id", (model,), (model.id,)
+    yield "id", index.values(), index.keys()
+    pools = model.pools
+    lanes = [ln for pool in pools for ln in pool.lanes]
+    nodes = [node for pool in pools for node in pool.nodes]
+    artifacts = [a for pool in pools for a in pool.artifacts]
+    named = [*pools, *lanes, *nodes]
+    named += [a for a in artifacts if isinstance(a, (m.Group, m.DataObject))]
+    yield "name", named, [e.name for e in named]
+    profiled = [ln for ln in lanes if ln.agentic is not None]
+    yield "role", profiled, [ln.agentic.role for ln in profiled]
+    conditional = [f for pool in pools for f in pool.flows if f.condition is not None]
+    yield "condition", conditional, [f.condition for f in conditional]
+    notes = [a for a in artifacts if isinstance(a, m.Annotation)]
+    yield "text", notes, [a.text for a in notes]
+    reflecting = [
+        n for n in nodes
+        if isinstance(n, m.Task) and n.agentic is not None and n.agentic.reflection is not None
+    ]
+    yield (
+        "reviewer lane id",
+        (n for n in reflecting for _ in n.agentic.reflection.reviewer_lane_ids),
+        [i for n in reflecting for i in n.agentic.reflection.reviewer_lane_ids],
+    )
+    humans = [n for n in reflecting if n.agentic.reflection.human_lane_id is not None]
+    yield "human lane id", humans, [n.agentic.reflection.human_lane_id for n in humans]
 
 
 def _write_node(lines, node: m.FlowNode):

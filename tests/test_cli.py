@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import hagent
 from hagent import simulate
 from hagent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hagent.xmlio import export_extension_schema
@@ -175,3 +181,87 @@ def test_validate_deeply_nested_extension_fails_without_traceback(tmp_path, caps
         "E-XML task-check-validity: <a> is nested too deeply to preserve"
     ]
     assert captured.err == ""
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_parser_is_built_once_per_process():
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counting):
+        per_call = []
+        for _ in range(5):
+            before = len(built)
+            assert main(["validate", FIXTURE]) == EXIT_OK
+            per_call.append(len(built) - before)
+    assert per_call[1:] == [0, 0, 0, 0]
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    src = str(Path(hagent.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "hagent.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [
+        (["simulate", FIXTURE, "--scenario", "{jitter}", "--seed", "5"],
+         ["simulate", FIXTURE, "--scenario", "{jitter}"]),
+        (["validate", "--strict", "{warn}"], ["validate", "{warn}"]),
+        (["render", FIXTURE, "--hints", "{hints}"], ["render", FIXTURE]),
+    ],
+    ids=["seed", "strict", "hints"],
+)
+def test_an_option_does_not_outlive_its_call(first, then, tmp_path, capsys):
+    jitter = tmp_path / "jitter.scn.yaml"  # jitter draws from the seed
+    jitter.write_text(
+        (FIXTURES / "bug-triage.scn.yaml").read_text().replace(
+            "latencyMs: 120\n", "latencyMs: 120\n    latencyJitterMs: 90\n"
+        )
+    )
+    warn = tmp_path / "warn.bpmn"
+    warn.write_text((FIXTURES / "bug-triage.bpmn").read_text().replace(' trustScore="70"', ""))
+    hints = tmp_path / "hints.json"
+    hints.write_text(json.dumps({"start-bug": [120, 90, 36, 36]}))
+    paths = {"jitter": jitter, "warn": warn, "hints": hints}
+    first, then = ([a.format(**paths) for a in argv] for argv in (first, then))
+
+    def in_process(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    expected = fresh_process(then)
+    assert in_process(first) != expected  # the option changes the outcome
+    assert in_process(then) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, stream",
+    [([], "err"), (["frobnicate"], "err"), (["simulate", FIXTURE], "err"),
+     (["validate", "--help"], "out")],
+    ids=["no-command", "unknown-command", "missing-scenario", "help"],
+)
+def test_usage_and_help_text_repeat_exactly(argv, stream, capsys):
+    seen = []
+    for _ in range(3):
+        code = main(argv)
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    assert seen[0] == seen[1] == seen[2]
+    assert getattr(captured, stream).startswith("usage: hagent")
+    assert code == (EXIT_OK if stream == "out" else EXIT_USAGE)

@@ -284,32 +284,73 @@ def replace_flow(model, flow_id, new_flow):
 # -- random graphs: networkx and the old matcher as oracles -------------------
 
 
+_trust = st.one_of(st.none(), st.integers(-5, 105).map(m.TrustScore))
+
+
 @st.composite
-def random_graphs(draw):
+def random_graphs(draw, annotated=False):
     """One pool of tasks and gateways joined by random flows.
 
     Self-loops and parallel flows are allowed; nodes without outgoing
-    flows are the exits.
+    flows are the exits.  Agentic gateways carry a voting marker.  With
+    ``annotated``, nodes sit in one to three lanes that may carry an agent
+    profile, tasks may carry a reflection and a trust score, gateways are
+    of any kind and markers of any mode, and lane references may dangle.
     """
     n = draw(st.integers(2, 9))
     kinds = draw(st.lists(st.sampled_from(["task", "plain", "div", "mrg"]),
                           min_size=n, max_size=n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=3 * n))
-    agentic = {
-        "div": m.AgenticGatewayInfo(direction=m.GatewayDirection.DIVERGING,
-                                    collaboration=m.CollaborationMode.VOTING),
-        "mrg": m.AgenticGatewayInfo(direction=m.GatewayDirection.MERGING,
-                                    merge=m.MergeStrategy.VOTING_MAJORITY),
-    }
     ids = [f"n-{i}" for i in range(n)]
-    nodes = [
-        m.Task(i, "lane-a") if k == "task"
-        else m.Gateway(i, "lane-a", kind=m.GatewayKind.PARALLEL, agentic=agentic.get(k))
-        for i, k in zip(ids, kinds)
-    ]
     flows = [m.SequenceFlow(f"f-{j:02d}", ids[s], ids[t]) for j, (s, t) in enumerate(pairs)]
-    return one_pool_model([lane("lane-a", ids)], nodes, flows)
+    if not annotated:
+        agentic = {
+            "div": m.AgenticGatewayInfo(direction=m.GatewayDirection.DIVERGING,
+                                        collaboration=m.CollaborationMode.VOTING),
+            "mrg": m.AgenticGatewayInfo(direction=m.GatewayDirection.MERGING,
+                                        merge=m.MergeStrategy.VOTING_MAJORITY),
+        }
+        nodes = [
+            m.Task(i, "lane-a") if k == "task"
+            else m.Gateway(i, "lane-a", kind=m.GatewayKind.PARALLEL, agentic=agentic.get(k))
+            for i, k in zip(ids, kinds)
+        ]
+        return one_pool_model([lane("lane-a", ids)], nodes, flows)
+
+    lane_ids = ["lane-a", "lane-b", "lane-c"][: draw(st.integers(1, 3))]
+    lane_ref = st.sampled_from(lane_ids + ["lane-x"])
+    reflection = st.builds(
+        m.ReflectionMode,
+        kind=st.sampled_from(m.ReflectionKind),
+        max_rounds=st.integers(0, 4),
+        reviewer_lane_ids=st.lists(lane_ref, max_size=2).map(tuple),
+        human_lane_id=st.one_of(st.none(), lane_ref),
+    )
+    task_info = st.one_of(st.none(), st.builds(
+        m.AgenticTaskInfo, reflection=st.one_of(st.none(), reflection), trust=_trust))
+    marker = {
+        "div": st.builds(m.AgenticGatewayInfo, direction=st.just(m.GatewayDirection.DIVERGING),
+                         collaboration=st.sampled_from(m.CollaborationMode), trust=_trust),
+        "mrg": st.builds(m.AgenticGatewayInfo, direction=st.just(m.GatewayDirection.MERGING),
+                         merge=st.sampled_from(m.MergeStrategy), trust=_trust),
+        "plain": st.none(),
+    }
+    homes = [draw(st.sampled_from(lane_ids)) for _ in ids]
+    nodes = [
+        m.Task(i, home, agentic=draw(task_info)) if k == "task"
+        else m.Gateway(i, home, kind=draw(st.sampled_from(m.GatewayKind)),
+                       agentic=draw(marker[k]))
+        for i, home, k in zip(ids, homes, kinds)
+    ]
+    role = st.sampled_from([m.MANAGER, m.WORKER, "critic"])
+    profile = st.one_of(st.none(), st.builds(m.AgentProfile, role=role, trust=_trust))
+    lanes = [
+        m.Lane(lane_id, lane_id, tuple(i for i, home in zip(ids, homes) if home == lane_id),
+               agentic=draw(profile))
+        for lane_id in lane_ids
+    ]
+    return one_pool_model(lanes, nodes, flows)
 
 
 def networkx_ipdom(model):
@@ -373,3 +414,12 @@ def test_matcher_agrees_with_the_path_enumerating_one(model):
             assert loops_through_a_branch(model, old), (gw_id, old, new)
         else:
             assert new == old
+
+
+@settings(max_examples=75, deadline=None)
+@given(random_graphs(annotated=True))
+def test_validate_is_total_and_linear_on_random_graphs(model):
+    adj = counted_adjacency(model)
+    diagnostics = validate_model(model)
+    assert all(isinstance(d, Diagnostic) for d in diagnostics)
+    assert adj.lookups <= 10 * size(model)

@@ -1,6 +1,10 @@
+import math
 import xml.etree.ElementTree as ET
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hagent import model as m
 from hagent.render import (
@@ -9,6 +13,7 @@ from hagent.render import (
     REFLECTION_CODES,
     ROLE_CODES,
     MissingLayout,
+    _ranks,
     render_svg,
     role_code,
 )
@@ -164,3 +169,74 @@ def test_ids_without_quotes_keep_their_escaping():
     svg = render_svg(model)
     assert b'data-element-id="a&amp;b&lt;c&gt;\'d"' in svg
     assert "a&b<c>'d" in {e.get("data-element-id") for e in ET.fromstring(svg).iter()}
+
+
+# -- ranks: longest path from the sources --------------------------------------
+
+
+@st.composite
+def random_dags(draw):
+    """A pool whose flows run forward in a drawn order of its nodes, so node
+    ids do not follow the topological order; parallel flows allowed."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations([f"n-{i:02d}" for i in range(n)]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    flows = [
+        m.SequenceFlow(f"f-{j:02d}", order[min(a, b)], order[max(a, b)])
+        for j, (a, b) in enumerate(pairs) if a != b
+    ]
+    return m.Pool("pool-1", nodes=tuple(m.Task(i, "lane-a") for i in order), flows=tuple(flows))
+
+
+def longest_path_ranks(pool):
+    g = nx.DiGraph()
+    g.add_nodes_from(n.id for n in pool.nodes)
+    g.add_edges_from((f.source_id, f.target_id) for f in pool.flows)
+    # every path inside a node's ancestors extends to the node itself
+    return {v: nx.dag_longest_path_length(g.subgraph(nx.ancestors(g, v) | {v})) for v in g}
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_dags())
+def test_ranks_are_longest_paths_from_the_sources(pool):
+    assert _ranks(pool) == longest_path_ranks(pool)
+
+
+class CountedId(str):
+    """A node id that counts the order comparisons made with it on the left."""
+
+    comparisons = 0
+
+    def __lt__(self, other):
+        CountedId.comparisons += 1
+        return str.__lt__(self, other)
+
+
+def parallel_fan(branches):
+    """start -> split -> `branches` tasks -> join -> end, all in one lane,
+    every id a CountedId."""
+    start, split, join, end = map(CountedId, ["n-start", "g-split", "g-join", "n-end"])
+    tasks = [CountedId(f"t-{i:05d}") for i in range(branches)]
+    nodes = [
+        m.StartEvent(start, "lane-a"),
+        m.Gateway(split, "lane-a", kind=m.GatewayKind.PARALLEL),
+        m.Gateway(join, "lane-a", kind=m.GatewayKind.PARALLEL),
+        m.EndEvent(end, "lane-a"),
+    ] + [m.Task(t, "lane-a") for t in tasks]
+    flows = [m.SequenceFlow("f-start", start, split), m.SequenceFlow("f-end", join, end)]
+    for t in tasks:
+        flows += [m.SequenceFlow(f"f-a{t}", split, t), m.SequenceFlow(f"f-b{t}", t, join)]
+    return one_pool_model([lane("lane-a", [start, split, join, end, *tasks])], nodes, flows)
+
+
+def test_ranking_a_wide_fan_takes_n_log_n_comparisons():
+    # the 4,000 tasks are ready at once; taking the smallest from a heap
+    # costs O(log n) comparisons, re-sorting the ready list after every
+    # node costs O(n), about 8 million in all here
+    pool = parallel_fan(4000).pools[0]
+    CountedId.comparisons = 0
+    ranks = _ranks(pool)
+    n = len(pool.nodes)
+    assert ranks["t-03999"] == 2 and ranks["n-end"] == 4
+    assert CountedId.comparisons <= 3 * n * math.log2(n)

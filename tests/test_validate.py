@@ -226,6 +226,71 @@ def test_e_ext_on_values_the_xml_form_cannot_carry(
         ]
 
 
+def _with_pool(model, **changes):
+    return replace(model, pools=(replace(model.pools[0], **changes),))
+
+
+def _with_flow(model, **changes):
+    first, *rest = model.pools[0].flows
+    return _with_pool(model, flows=(replace(first, **changes), *rest))
+
+
+def _reflecting(model, **fields):
+    return replace_node(model, "t-1", replace(model.index["t-1"], agentic=_self_reflection(**fields)))
+
+
+@pytest.mark.parametrize(
+    "edit, element_id, field, text, char",
+    [
+        (lambda mdl: replace_lane(mdl, "lane-a", agentic=m.AgentProfile(role="a\x01b")),
+         "lane-a", "role", "a\x01b", "\x01"),
+        (lambda mdl: replace_node(mdl, "t-1", m.Task("t-1", "lane-a", "x\x0by")),
+         "t-1", "name", "x\x0by", "\x0b"),
+        (lambda mdl: replace(mdl, id="model\x00"), None, "id", "model\x00", "\x00"),
+        (lambda mdl: _with_pool(mdl, name="pool\ufffe"), "pool-1", "name", "pool\ufffe", "\ufffe"),
+        (lambda mdl: replace_lane(mdl, "lane-a", name="\uffff"), "lane-a", "name", "\uffff", "\uffff"),
+        (lambda mdl: _with_flow(mdl, id="f-\x1f"), "f-\x1f", "id", "f-\x1f", "\x1f"),
+        (lambda mdl: _with_flow(mdl, condition="ok\x08"), "f-01", "condition", "ok\x08", "\x08"),
+        (lambda mdl: _with_pool(mdl, artifacts=(m.Annotation("note-1", "\ud800"),)),
+         "note-1", "text", "\ud800", "\ud800"),
+        (lambda mdl: _with_pool(mdl, artifacts=(m.DataObject("data-1", "d\x0c"),)),
+         "data-1", "name", "d\x0c", "\x0c"),
+        (lambda mdl: _reflecting(mdl, reviewer_lane_ids=("lane\x02",)),
+         "t-1", "reviewer lane id", "lane\x02", "\x02"),
+        (lambda mdl: _reflecting(mdl, human_lane_id="lane\x03"),
+         "t-1", "human lane id", "lane\x03", "\x03"),
+    ],
+    ids=["role", "task-name", "model-id", "pool-name", "lane-name", "flow-id",
+         "condition", "annotation-text", "data-object-name", "reviewer", "human-lane"],
+)
+def test_e_xml_on_characters_xml_cannot_carry(edit, element_id, field, text, char):
+    model = edit(linear_model())
+    errors = [
+        (d.code, d.element_id, d.message)
+        for d in validate_model(model)
+        if d.severity is Severity.ERROR
+    ]
+    assert errors == [
+        ("E-XML", element_id, f"{field} {text!r} holds {char!r}, which XML 1.0 cannot carry")
+    ]
+    # the writer cannot encode a lone surrogate; any other such character
+    # makes a document parse_model refuses
+    try:
+        document = serialize_model(model)
+    except UnicodeEncodeError:
+        assert char == "\ud800"
+    else:
+        assert parse_model(document).model is None
+
+
+def test_e_xml_names_each_character_once():
+    model = replace_node(linear_model(), "t-1", m.Task("t-1", "lane-a", "\x01a\x02\x01"))
+    assert [d.message for d in validate_model(model)] == [
+        "name '\\x01a\\x02\\x01' holds '\\x01', which XML 1.0 cannot carry",
+        "name '\\x01a\\x02\\x01' holds '\\x02', which XML 1.0 cannot carry",
+    ]
+
+
 def test_e_msg_dir():
     model = two_pool_message_model(remote_agentic=False)
     assert codes(model) == ["E-MSG-DIR", "E-MSG-DIR"]

@@ -1,3 +1,5 @@
+import dataclasses
+import enum
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +12,7 @@ from hagent.xmlio import (
     export_extension_schema,
     parse_model,
     serialize_model,
+    written_texts,
 )
 
 from builders import lane, linear_model, one_pool_model, region_model, two_pool_message_model
@@ -537,6 +540,69 @@ def test_round_trip_artifacts():
         ],
     )
     assert_round_trip(model)
+
+
+def artifact_model():
+    """Every artifact kind, a condition and both reflections that name lanes."""
+    return one_pool_model(
+        lanes=[lane("lane-a", ["n-start", "gw-c", "n-end", "t-1", "t-2"], role="worker")],
+        nodes=[
+            m.StartEvent("n-start", "lane-a"),
+            m.Task("t-1", "lane-a", agentic=m.AgenticTaskInfo(
+                m.ReflectionMode(m.ReflectionKind.CROSS, reviewer_lane_ids=("lane-a", "lane-b")))),
+            m.Task("t-2", "lane-a", agentic=m.AgenticTaskInfo(
+                m.ReflectionMode(m.ReflectionKind.HUMAN, human_lane_id="lane-c"))),
+            m.Gateway("gw-c", "lane-a", kind=m.GatewayKind.COMPLEX),
+            m.EndEvent("n-end", "lane-a"),
+        ],
+        flows=[
+            m.SequenceFlow("f-01", "n-start", "t-1"),
+            m.SequenceFlow("f-02", "t-1", "t-2"),
+            m.SequenceFlow("f-03", "t-2", "gw-c"),
+            m.SequenceFlow("f-04", "gw-c", "n-end", condition="x > 1"),
+        ],
+        artifacts=[
+            m.Annotation("ann-1", "a note"),
+            m.Association("as-1", "ann-1", "gw-c"),
+            m.Group("grp-1", "Review scope"),
+            m.DataObject("do-1", "Patch"),
+        ],
+    )
+
+
+# fields that name another element, or hold opaque fragments, not text of their own
+_NOT_OWN_TEXT = {"lane_id", "source_id", "target_id", "node_ids", "foreign_ext", "opaque_elements"}
+
+
+def own_texts(value, elements):
+    """Every str of a model element's fields and of the values it holds
+    that are not elements themselves, references and fragments aside."""
+    for f in dataclasses.fields(value):
+        held = getattr(value, f.name)
+        if f.name in _NOT_OWN_TEXT or isinstance(held, enum.Enum) or id(held) in elements:
+            continue
+        if isinstance(held, str):
+            yield held
+        elif isinstance(held, tuple):
+            yield from (x for x in held if isinstance(x, str))
+        elif dataclasses.is_dataclass(held):
+            yield from own_texts(held, elements)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: parse_ok(FIXTURE.read_bytes()).model, artifact_model, two_pool_message_model],
+    ids=["fixture", "artifacts", "message-flows"],
+)
+def test_written_texts_are_every_text_of_the_model(build):
+    # so a text field the model gains is not missed by validate_model's E-XML
+    model = build()
+    elements = [model, *model.index.values()]
+    written = {
+        (id(e), text) for _, owners, texts in written_texts(model) for e, text in zip(owners, texts)
+    }
+    held = {(id(e), text) for e in elements for text in own_texts(e, set(map(id, elements)))}
+    assert written == held
 
 
 def test_empty_model_has_no_extension_elements():

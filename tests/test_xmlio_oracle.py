@@ -479,6 +479,65 @@ def test_models_that_validate_round_trip(model):
     assert parse_model(serialize_model(model)).model == model
 
 
+# characters XML 1.0 cannot carry, a lone surrogate among them
+_NOT_XML = ["\x00", "\x01", "\x0b", "\x1f", "\ufffe", "\uffff", "\ud800"]
+_raw_text = st.text(alphabet=st.sampled_from(list("ab -&<\r中") + _NOT_XML), min_size=1, max_size=4)
+# the reader strips a condition and reads an empty one as none
+_condition = st.text(alphabet=st.sampled_from(list("ab=&<") + _NOT_XML), min_size=1, max_size=4)
+
+
+@st.composite
+def text_variants(draw):
+    """The fixture or one of its ``extension_variants`` with one name, role,
+    reflection lane or condition drawn anew, from text that may hold a
+    character XML 1.0 cannot carry."""
+    model = draw(
+        st.one_of(
+            st.just(parse_model(FIXTURE_BYTES).model),
+            extension_variants(
+                lane_ref=st.one_of(st.sampled_from(_LANE_IDS), _text),
+                kept_lanes={"lane-reviewer"},
+            ),
+        )
+    )
+    pool = model.pools[0]
+    conditional = [f for f in pool.flows if f.condition is not None]
+    old = draw(st.sampled_from([pool, *pool.lanes, *pool.nodes, *conditional]))
+    text = draw(_raw_text)
+    refl = getattr(getattr(old, "agentic", None), "reflection", None)
+    if isinstance(old, m.SequenceFlow):
+        new = replace(old, condition=draw(_condition))
+    elif isinstance(old, m.Lane) and old.agentic is not None and draw(st.booleans()):
+        new = replace(old, agentic=replace(old.agentic, role=text))
+    elif refl is not None and draw(st.booleans()):
+        if refl.kind is m.ReflectionKind.HUMAN:
+            refl = replace(refl, human_lane_id=text)
+        else:
+            refl = replace(refl, reviewer_lane_ids=(text,))
+        new = replace(old, agentic=replace(old.agentic, reflection=refl))
+    else:
+        new = replace(old, name=text)
+    if old is pool:
+        pool = new
+    else:
+        pool = replace(
+            pool,
+            **{
+                part: tuple(new if e is old else e for e in getattr(pool, part))
+                for part in ("lanes", "nodes", "flows")
+            },
+        )
+    return replace(model, pools=(pool,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text_variants())
+def test_models_with_raw_text_that_validate_round_trip(model):
+    if any(d.severity is Severity.ERROR for d in validate_model(model)):
+        return
+    assert parse_model(serialize_model(model)).model == model
+
+
 @pytest.mark.parametrize(
     "value",
     ["plain-id", "", "it's", 'say "hi"', "a & b", "<x>", "tab\there", "cr\rlf\n",
