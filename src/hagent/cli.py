@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -127,6 +128,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int with no float
+        return False
+
+
+def _read_hints(data: bytes) -> dict:
+    """Node id -> (x, y, width, height) as floats, from a JSON object that
+    maps each id to four finite numbers; ValueError for anything else."""
+    try:
+        hints = json.loads(data)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if not isinstance(hints, dict):
+        raise ValueError("expected a JSON object mapping node ids to [x, y, width, height]")
+    for node_id, box in hints.items():
+        if not (isinstance(box, list) and len(box) == 4 and all(map(_finite_number, box))):
+            raise ValueError(f"hint {node_id!r} is not a list of four finite numbers")
+    return {node_id: tuple(map(float, box)) for node_id, box in hints.items()}
+
+
 def cmd_render(args) -> int:
     result = parse_model(_read(args.input))
     if result.model is None:
@@ -141,10 +166,8 @@ def cmd_render(args) -> int:
     hints = None
     if args.hints:
         try:
-            hints = {
-                k: tuple(v) for k, v in json.loads(_read(args.hints)).items()
-            }
-        except (ValueError, TypeError) as exc:
+            hints = _read_hints(_read(args.hints))
+        except ValueError as exc:
             print(f"hagent: bad hints file: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
     try:

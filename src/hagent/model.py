@@ -298,6 +298,11 @@ class ProcessModel:
     index: Mapping[str, object] = field(
         default_factory=dict, compare=False, repr=False
     )
+    # True on a model parse_model built: its reader has already held every
+    # text and extension value to what serialize_model writes back, so
+    # validate_model does not test them again.  Not an argument, so a
+    # dataclasses.replace copy, which may hold anything, starts False
+    parsed: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pools", _normalize_pools(self.pools))

@@ -336,6 +336,25 @@ def _check_xml_chars(model):
     ]
 
 
+def _check_stripped_texts(model):
+    # the reader strips a condition, reads an empty one as none, and strips
+    # the node ids it reads from flowNodeRef (str.strip: XML's white space
+    # and Unicode's)
+    out = []
+    for pool in model.pools:
+        for node in pool.nodes:
+            if node.id != node.id.strip():
+                message = f"id {node.id!r} has white space at an end, which a flowNodeRef loses"
+                out.append(_diag("E-XML", Severity.ERROR, node.id, message))
+        for flow in pool.flows:
+            condition = flow.condition
+            if condition is not None and (not condition or condition != condition.strip()):
+                problem = "is empty" if not condition else "has white space at an end"
+                message = f"condition {condition!r} {problem}, which the reader does not keep"
+                out.append(_diag("E-XML", Severity.ERROR, flow.id, message))
+    return out
+
+
 CATALOG: List[Rule] = [
     Rule("E-PAIR", Severity.ERROR, "diverging agentic gateway has a matching merge", _check_pair),
     Rule("E-MGR", Severity.ERROR, "leader-driven/debate region has a manager decider", _check_manager),
@@ -351,9 +370,15 @@ CATALOG: List[Rule] = [
 
 def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
     """All rule violations, ``E-EXT`` for extension values that the XML
-    form cannot carry and ``E-XML`` for characters XML 1.0 cannot carry,
-    ordered by (rule code, element id)."""
-    out: List[Diagnostic] = _check_extension_values(model) + _check_xml_chars(model)
+    form cannot carry and ``E-XML`` for characters XML 1.0 cannot carry or
+    texts the reader would not read back as they are, ordered by (rule
+    code, element id).  The last two are not tested again on a model that
+    ``parse_model`` built (``model.parsed``): its reader held them."""
+    out: List[Diagnostic] = []
+    if not model.parsed:
+        out += _check_extension_values(model)
+        out += _check_xml_chars(model)
+        out += _check_stripped_texts(model)
     for rule in CATALOG:
         out.extend(rule.check(model))
     out.sort(key=lambda d: (d.code, d.element_id or ""))

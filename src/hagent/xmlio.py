@@ -124,6 +124,16 @@ def quote_attr(value: str) -> str:
     return f'"{value}"'
 
 
+def _escape_text(text: str) -> str:
+    """``text`` for element content: ``escape(text)`` with a carriage
+    return written ``&#13;``, which XML's end-of-line handling would
+    otherwise read back as a line feed.  A text that holds none of
+    ``& < > \\r`` is returned as it is."""
+    if "&" in text or "<" in text or ">" in text or "\r" in text:
+        return escape(text, {"\r": "&#13;"})
+    return text
+
+
 # the lexical space of xsd:integer, with XML whitespace around it
 _XSD_INTEGER = re.compile(r"[ \t\r\n]*[+-]?[0-9]+[ \t\r\n]*")
 
@@ -677,6 +687,7 @@ def parse_model(document) -> ParseResult:
     except m.ModelError as exc:
         parser.error("E-REF", None, str(exc))
         return ParseResult(None, parser.diagnostics)
+    object.__setattr__(model, "parsed", True)
     return ParseResult(model, parser.diagnostics)
 
 
@@ -763,7 +774,7 @@ def serialize_model(model: m.ProcessModel) -> bytes:
             ext_lines = _ext_lines(_LANE_EXT, lane, "          ")
             _write_extensions(lines, "        ", ext_lines, lane.foreign_ext)
             for node_id in lane.node_ids:
-                add(f"        <bpmn:flowNodeRef>{escape(node_id)}</bpmn:flowNodeRef>")
+                add(f"        <bpmn:flowNodeRef>{_escape_text(node_id)}</bpmn:flowNodeRef>")
             add("      </bpmn:lane>")
         add("    </bpmn:laneSet>")
 
@@ -777,7 +788,7 @@ def serialize_model(model: m.ProcessModel) -> bytes:
             if flow.condition is not None:
                 add(open_tag + ">")
                 add(
-                    f"      <bpmn:conditionExpression>{escape(flow.condition)}"
+                    f"      <bpmn:conditionExpression>{_escape_text(flow.condition)}"
                     "</bpmn:conditionExpression>"
                 )
                 add("    </bpmn:sequenceFlow>")
@@ -786,7 +797,7 @@ def serialize_model(model: m.ProcessModel) -> bytes:
         for artifact in pool.artifacts:
             if isinstance(artifact, m.Annotation):
                 add(f"    <bpmn:textAnnotation id={q(artifact.id)}>")
-                add(f"      <bpmn:text>{escape(artifact.text)}</bpmn:text>")
+                add(f"      <bpmn:text>{_escape_text(artifact.text)}</bpmn:text>")
                 add("    </bpmn:textAnnotation>")
             elif isinstance(artifact, m.Association):
                 add(

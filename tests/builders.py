@@ -55,6 +55,26 @@ def replace_lane(model, lane_id, **changes):
     return replace(model, pools=tuple(pools))
 
 
+def rename_node(model, old_id, new_id):
+    """``model`` with node ``old_id`` called ``new_id``, in its lane and flows too."""
+    def ref(node_id):
+        return new_id if node_id == old_id else node_id
+
+    pools = tuple(
+        replace(
+            pool,
+            lanes=tuple(replace(ln, node_ids=tuple(map(ref, ln.node_ids))) for ln in pool.lanes),
+            nodes=tuple(replace(n, id=ref(n.id)) for n in pool.nodes),
+            flows=tuple(
+                replace(f, source_id=ref(f.source_id), target_id=ref(f.target_id))
+                for f in pool.flows
+            ),
+        )
+        for pool in model.pools
+    )
+    return replace(model, pools=pools)
+
+
 def linear_model():
     """start -> task -> end in a single human lane."""
     return one_pool_model(

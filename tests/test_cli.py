@@ -121,6 +121,50 @@ def test_render_with_hints(tmp_path):
     assert plain.read_bytes() != moved.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[[120, 90, 36, 36]]",
+        '"start-bug"',
+        '{"start-bug": [120, 90, 36]}',
+        '{"start-bug": [120, 90, 36, 36, 1]}',
+        '{"start-bug": ["120", "90", "36", "36"]}',
+        '{"start-bug": [true, 90, 36, 36]}',
+        '{"start-bug": [null, 90, 36, 36]}',
+        '{"start-bug": [NaN, 90, 36, 36]}',
+        '{"start-bug": [120, Infinity, 36, 36]}',
+        '{"start-bug": [120, 90, 1e400, 36]}',
+        '{"start-bug": [120, 90, 36, 1%s]}' % ("0" * 400),
+        '{"start-bug": {"x": 120}}',
+        '{"start-bug": 120}',
+        '{"start-bug": [120, 90',
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["array", "string", "three", "five", "strings", "bool", "null", "nan", "inf",
+         "overflow", "huge-int", "object", "number", "truncated", "deep"],
+)
+def test_render_refuses_a_malformed_hints_file(text, tmp_path, capsys):
+    hints = tmp_path / "hints.json"
+    hints.write_text(text)
+    out = tmp_path / "out.svg"
+    assert main(["render", FIXTURE, "-o", str(out), "--hints", str(hints)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.err.startswith("hagent: bad hints file: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
+
+
+def test_render_reads_int_and_float_hints_alike(tmp_path):
+    svgs = []
+    for box in ([120, 90, 36, 36], [120.0, 90.0, 36.0, 36.0]):
+        hints = tmp_path / "hints.json"
+        hints.write_text(json.dumps({"start-bug": box, "no-such-node": [0, 0, 0, 0]}))
+        out = tmp_path / "out.svg"
+        assert main(["render", FIXTURE, "-o", str(out), "--hints", str(hints)]) == EXIT_OK
+        svgs.append(out.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
 def test_export_xsd(tmp_path, capsys):
     target = tmp_path / "ext.xsd"
     assert main(["export-xsd", "-o", str(target)]) == EXIT_OK

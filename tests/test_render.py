@@ -1,5 +1,7 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from decimal import Decimal
 
 import networkx as nx
 import pytest
@@ -19,7 +21,15 @@ from hagent.render import (
 )
 from hagent.xmlio import parse_model
 
-from builders import lane, linear_model, one_pool_model, region_model, two_pool_message_model
+import old_render
+from builders import (
+    lane,
+    linear_model,
+    one_pool_model,
+    region_model,
+    replace_node,
+    two_pool_message_model,
+)
 from conftest import FIXTURES
 
 VOCABULARY = (
@@ -240,3 +250,105 @@ def test_ranking_a_wide_fan_takes_n_log_n_comparisons():
     n = len(pool.nodes)
     assert ranks["t-03999"] == 2 and ranks["n-end"] == 4
     assert CountedId.comparisons <= 3 * n * math.log2(n)
+
+
+# -- the renderer against the one it replaced ------------------------------------
+
+# numbers whose text is easy to get wrong when equal numbers share it:
+# 0.0 and -0.0 read "0" and "-0", 999999.5 and 1e6 are where "g" turns to
+# exponent form and an int above 2**53 reads as the float nearest it; True
+# reads "1", 10**400 has no float, and Decimal("48.0"), equal to the y of a
+# lane name, reads "48.0" (20.0 is a pool's top, 130.0 a lane's height)
+_plain_numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, 0]),
+    st.sampled_from([
+        1, 1.0, -1.0, math.nan, math.inf, -math.inf, 999999.5, 1e6, -1e6, 1e-5,
+        2**53 + 1, -(2**60) - 1,
+    ]),
+    st.integers(-1000, 1000),
+    st.floats(-1e7, 1e7),
+    st.floats(),
+    st.integers(2**53, 2**70),
+)
+_decimals = st.one_of(
+    st.sampled_from([Decimal("1.0"), Decimal("20.0"), Decimal("48.0"), Decimal("130.0"),
+                     Decimal("-0"), Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity")]),
+    st.decimals(allow_nan=True, allow_infinity=True),
+)
+_any_numbers = st.one_of(_plain_numbers, _decimals, st.booleans(), st.just(10**400))
+_names = st.text(alphabet=st.sampled_from(list("ab -&<>\"'é")), max_size=5)
+
+
+def _base_models():
+    return [
+        fixture_model(),
+        linear_model(),
+        replace_node(linear_model(), "t-1", m.SubProcess("t-1", "lane-a", "Sub")),
+        *(region_model(merge=strategy) for strategy in MERGE_CODES),
+        region_model(collab=m.CollaborationMode.DEBATE, merge=m.MergeStrategy.VOTING_MAJORITY),
+        two_pool_message_model(remote_multi=True),
+        two_pool_message_model(out_mode=m.CollaborationMode.VOTING,
+                               in_strategy=m.MergeStrategy.VOTING_ABSOLUTE),
+        one_pool_model(lanes=[lane("lane-a")], nodes=[], flows=[]),
+    ]
+
+
+@st.composite
+def models_and_hints(draw):
+    """A builder model with its names drawn anew, and layout hints: four
+    Decimals for every node, or four numbers (or, among any numbers, two to
+    five) for some of its nodes and for an id it lacks."""
+    model = draw(st.sampled_from(_base_models()))
+    pools = []
+    for pool in model.pools:
+        lanes = tuple(replace(ln, name=draw(_names)) for ln in pool.lanes)
+        nodes = tuple(replace(node, name=draw(_names)) for node in pool.nodes)
+        pools.append(replace(pool, name=draw(_names), lanes=lanes, nodes=nodes))
+    model = replace(model, pools=tuple(pools))
+    ids = [node.id for node in model.iter_nodes()]
+    numbers = draw(st.sampled_from([_plain_numbers, _plain_numbers, _decimals, _any_numbers]))
+    if numbers is _decimals:  # every node, so that no float meets a Decimal
+        return model, {node_id: draw(st.tuples(*[numbers] * 4)) for node_id in ids}
+    box = st.tuples(*[numbers] * 4)
+    if numbers is _any_numbers:
+        box |= st.lists(numbers, min_size=2, max_size=5).map(tuple)
+    hints = draw(st.dictionaries(st.sampled_from(ids + ["no-such-node"]), box, min_size=1))
+    return model, hints
+
+
+def _outcome(render, model, hints):
+    try:
+        return render(model, hints)
+    except Exception as exc:  # both renderers must fail the same way
+        return type(exc).__name__
+
+
+@settings(max_examples=400, deadline=None)
+@given(models_and_hints())
+def test_render_matches_the_old_renderer(model_and_hints):
+    model, hints = model_and_hints
+    assert _outcome(render_svg, model, hints) == _outcome(old_render.render_svg, model, hints)
+
+
+@pytest.mark.parametrize(
+    "hints",
+    [
+        {"t-1": (0.0, -0.0, 110, 60), "n-end": (-0.0, 0.0, 36, 36)},
+        {"t-1": (True, 1, 1.0, False)},
+        {node_id: (Decimal("130"), Decimal("48.0"), Decimal("1.0"), Decimal("-0"))
+         for node_id in ("n-start", "t-1", "n-end")},
+    ],
+    ids=["signed-zeros", "bools", "decimals"],
+)
+def test_equal_numbers_keep_their_own_text(hints):
+    model = linear_model()
+    assert render_svg(model, hints) == old_render.render_svg(model, hints)
+
+
+def test_render_matches_the_old_renderer_on_the_base_models():
+    # every base model but the empty one renders, with a -0.0 in its hints
+    for model in _base_models()[:-1]:
+        hints = {node.id: (1.5, -0.0, 110, 60) for node in model.iter_nodes()}
+        for layout in (None, hints):
+            svg = render_svg(model, layout)
+            assert svg == old_render.render_svg(model, layout)

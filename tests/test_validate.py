@@ -11,6 +11,7 @@ from builders import (
     linear_model,
     one_pool_model,
     region_model,
+    rename_node,
     replace_lane,
     replace_node,
     two_pool_message_model,
@@ -289,6 +290,64 @@ def test_e_xml_names_each_character_once():
         "name '\\x01a\\x02\\x01' holds '\\x01', which XML 1.0 cannot carry",
         "name '\\x01a\\x02\\x01' holds '\\x02', which XML 1.0 cannot carry",
     ]
+
+
+@pytest.mark.parametrize(
+    "edit, element_id, message",
+    [
+        (lambda mdl: _with_flow(mdl, condition=""), "f-01",
+         "condition '' is empty, which the reader does not keep"),
+        (lambda mdl: _with_flow(mdl, condition=" a"), "f-01",
+         "condition ' a' has white space at an end, which the reader does not keep"),
+        (lambda mdl: _with_flow(mdl, condition="a\r\n"), "f-01",
+         "condition 'a\\r\\n' has white space at an end, which the reader does not keep"),
+        (lambda mdl: _with_flow(mdl, condition="\u00a0a"), "f-01",
+         "condition '\\xa0a' has white space at an end, which the reader does not keep"),
+        (lambda mdl: rename_node(mdl, "n-start", " s"), " s",
+         "id ' s' has white space at an end, which a flowNodeRef loses"),
+        (lambda mdl: rename_node(mdl, "t-1", "t-1\t"), "t-1\t",
+         "id 't-1\\t' has white space at an end, which a flowNodeRef loses"),
+    ],
+    ids=["empty-condition", "leading-space", "trailing-crlf", "nbsp", "node-id", "node-id-tab"],
+)
+def test_e_xml_on_texts_the_reader_does_not_keep(edit, element_id, message):
+    model = edit(linear_model())
+    assert [(d.code, d.element_id, d.message) for d in validate_model(model)] == [
+        ("E-XML", element_id, message)
+    ]
+    # without the diagnostic the model would not come back as it went out
+    back = parse_model(serialize_model(model)).model
+    assert back != model
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda mdl: _with_flow(mdl, condition="a\rb"),
+        lambda mdl: _with_flow(mdl, condition="a\r\n\tb"),
+        lambda mdl: _with_pool(mdl, artifacts=(m.Annotation("note-1", "x\ry\r"),)),
+        lambda mdl: rename_node(mdl, "t-1", "t\r1"),
+        lambda mdl: rename_node(mdl, "t-1", "t 1"),
+    ],
+    ids=["condition", "condition-crlf", "annotation", "node-id", "node-id-space"],
+)
+def test_texts_with_carriage_returns_round_trip(edit):
+    model = edit(linear_model())
+    assert validate_model(model) == []
+    assert parse_model(serialize_model(model)).model == model
+
+
+@pytest.mark.parametrize("name", ["bug-triage", "broken-no-manager"])
+def test_parsed_models_skip_only_checks_the_reader_made(name):
+    model = parse_model((FIXTURES / f"{name}.bpmn").read_bytes()).model
+    copy = replace(model)
+    assert model.parsed and not copy.parsed and copy == model
+    assert validate_model(model) == validate_model(copy)
+    # a copy holding what the reader would have refused is tested in full
+    lane_id = model.pools[0].lanes[0].id
+    bad = replace_lane(model, lane_id, name="a\x01")
+    assert not bad.parsed
+    assert ("E-XML", lane_id) in {(d.code, d.element_id) for d in validate_model(bad)}
 
 
 def test_e_msg_dir():

@@ -33,6 +33,7 @@ from hagent.xmlio import (
     serialize_model,
 )
 
+from builders import rename_node
 from conftest import FIXTURES
 
 FIXTURE_BYTES = (FIXTURES / "bug-triage.bpmn").read_bytes()
@@ -372,6 +373,18 @@ def test_readers_agree_on_mutated_fixtures(document):
 
 @settings(max_examples=300, deadline=None)
 @given(mutated_fixtures())
+def test_validate_skips_only_what_the_reader_checked(document):
+    # a replace()d copy is not marked as parsed, so it is tested in full
+    model = parse_model(document).model
+    if model is None:
+        return
+    copy = replace(model)
+    assert model.parsed and not copy.parsed
+    assert validate_model(model) == validate_model(copy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixtures())
 def test_pipeline_is_total_on_mutated_fixtures(document):
     model = parse_model(document).model
     if model is None:
@@ -481,16 +494,22 @@ def test_models_that_validate_round_trip(model):
 
 # characters XML 1.0 cannot carry, a lone surrogate among them
 _NOT_XML = ["\x00", "\x01", "\x0b", "\x1f", "\ufffe", "\uffff", "\ud800"]
+# white space the reader strips from a condition and a flowNodeRef: XML's
+# four characters and a no-break space
+_SPACE = [" ", "\t", "\n", "\r", "\xa0"]
 _raw_text = st.text(alphabet=st.sampled_from(list("ab -&<\r中") + _NOT_XML), min_size=1, max_size=4)
 # the reader strips a condition and reads an empty one as none
-_condition = st.text(alphabet=st.sampled_from(list("ab=&<") + _NOT_XML), min_size=1, max_size=4)
+_condition = st.text(alphabet=st.sampled_from(list("ab=&<") + _SPACE + _NOT_XML), max_size=4)
+_margin = st.text(alphabet=st.sampled_from(_SPACE), max_size=2)
 
 
 @st.composite
 def text_variants(draw):
     """The fixture or one of its ``extension_variants`` with one name, role,
     reflection lane or condition drawn anew, from text that may hold a
-    character XML 1.0 cannot carry."""
+    character XML 1.0 cannot carry, a condition that may be empty or have
+    white space at an end; then, it may be, a node id with white space or a
+    carriage return in it, and an annotation with text drawn the same way."""
     model = draw(
         st.one_of(
             st.just(parse_model(FIXTURE_BYTES).model),
@@ -527,7 +546,16 @@ def text_variants(draw):
                 for part in ("lanes", "nodes", "flows")
             },
         )
-    return replace(model, pools=(pool,))
+    if draw(st.booleans()):
+        pool = replace(pool, artifacts=(m.Annotation("note-1", draw(_raw_text)),))
+    model = replace(model, pools=(pool,))
+    if draw(st.booleans()):
+        node_id = draw(st.sampled_from([n.id for n in pool.nodes]))
+        middle = draw(st.sampled_from(["", "\r", " "]))
+        model = rename_node(
+            model, node_id, draw(_margin) + node_id[:2] + middle + node_id[2:] + draw(_margin)
+        )
+    return model
 
 
 @settings(max_examples=150, deadline=None)
