@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from typing import List, Optional
 
 from hagent import model as m
 from hagent import simulate
-from hagent.render import MissingLayout, render_svg
+from hagent.render import BadLayout, MissingLayout, check_layout, render_svg
 from hagent.validate import render_diagnostics, validate_model
 from hagent.xmlio import Severity, export_extension_schema, parse_model
 
@@ -128,28 +127,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+def _read_hints(path: str) -> dict:
+    """``check_layout`` of the JSON in the file at ``path``; BadLayout if it is not JSON."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an int with no float
-        return False
-
-
-def _read_hints(data: bytes) -> dict:
-    """Node id -> (x, y, width, height) as floats, from a JSON object that
-    maps each id to four finite numbers; ValueError for anything else."""
-    try:
-        hints = json.loads(data)
+        hints = json.loads(_read(path))
     except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-    if not isinstance(hints, dict):
-        raise ValueError("expected a JSON object mapping node ids to [x, y, width, height]")
-    for node_id, box in hints.items():
-        if not (isinstance(box, list) and len(box) == 4 and all(map(_finite_number, box))):
-            raise ValueError(f"hint {node_id!r} is not a list of four finite numbers")
-    return {node_id: tuple(map(float, box)) for node_id, box in hints.items()}
+        raise BadLayout("JSON nested too deeply") from None
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise BadLayout(str(exc)) from None
+    return check_layout(hints)  # a JSON null is no dict, not "no hints"
 
 
 def cmd_render(args) -> int:
@@ -163,15 +149,11 @@ def cmd_render(args) -> int:
     if errors:
         print(render_diagnostics(errors), file=sys.stderr)
         return EXIT_DOMAIN
-    hints = None
-    if args.hints:
-        try:
-            hints = _read_hints(_read(args.hints))
-        except ValueError as exc:
-            print(f"hagent: bad hints file: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
     try:
-        svg = render_svg(result.model, hints)
+        svg = render_svg(result.model, _read_hints(args.hints) if args.hints else None)
+    except BadLayout as exc:
+        print(f"hagent: bad hints file: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except MissingLayout as exc:
         print(f"hagent: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

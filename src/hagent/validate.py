@@ -336,11 +336,15 @@ def _check_xml_chars(model):
     ]
 
 
-def _check_stripped_texts(model):
-    # the reader strips a condition, reads an empty one as none, and strips
-    # the node ids it reads from flowNodeRef (str.strip: XML's white space
-    # and Unicode's)
+def _check_read_back_texts(model):
+    # the reader refuses an empty id (the index holds at most one), strips a
+    # condition, reads an empty one as none, and strips the node ids it reads
+    # from flowNodeRef (str.strip: XML's white space and Unicode's)
     out = []
+    if "" in model.index:
+        kind = type(model.index[""]).__name__
+        kind = kind[0].lower() + kind[1:]  # a task reads "task <task>", as the reader says
+        out.append(_diag("E-REF", Severity.ERROR, None, f"{kind} <{kind}> lacks an id"))
     for pool in model.pools:
         for node in pool.nodes:
             if node.id != node.id.strip():
@@ -369,16 +373,16 @@ CATALOG: List[Rule] = [
 
 
 def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
-    """All rule violations, ``E-EXT`` for extension values that the XML
-    form cannot carry and ``E-XML`` for characters XML 1.0 cannot carry or
-    texts the reader would not read back as they are, ordered by (rule
-    code, element id).  The last two are not tested again on a model that
-    ``parse_model`` built (``model.parsed``): its reader held them."""
+    """All rule violations, ``E-REF`` for an empty id, ``E-EXT`` for values
+    the XML form cannot carry and ``E-XML`` for characters XML 1.0 cannot
+    carry or texts the reader would not read back as they are, ordered by
+    (rule code, element id).  The last three are not tested again on a model
+    that ``parse_model`` built (``model.parsed``): its reader held them."""
     out: List[Diagnostic] = []
     if not model.parsed:
         out += _check_extension_values(model)
         out += _check_xml_chars(model)
-        out += _check_stripped_texts(model)
+        out += _check_read_back_texts(model)
     for rule in CATALOG:
         out.extend(rule.check(model))
     out.sort(key=lambda d: (d.code, d.element_id or ""))

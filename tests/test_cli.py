@@ -139,13 +139,16 @@ def test_render_with_hints(tmp_path):
         '{"start-bug": 120}',
         '{"start-bug": [120, 90',
         "[" * 100_000 + "]" * 100_000,
+        b"\xff{}",
+        "null",
     ],
     ids=["array", "string", "three", "five", "strings", "bool", "null", "nan", "inf",
-         "overflow", "huge-int", "object", "number", "truncated", "deep"],
+         "overflow", "huge-int", "object", "number", "truncated", "deep", "not-utf-8",
+         "json-null"],
 )
 def test_render_refuses_a_malformed_hints_file(text, tmp_path, capsys):
     hints = tmp_path / "hints.json"
-    hints.write_text(text)
+    hints.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "out.svg"
     assert main(["render", FIXTURE, "-o", str(out), "--hints", str(hints)]) == EXIT_DOMAIN
     captured = capsys.readouterr()

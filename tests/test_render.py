@@ -14,6 +14,7 @@ from hagent.render import (
     MERGE_CODES,
     REFLECTION_CODES,
     ROLE_CODES,
+    BadLayout,
     MissingLayout,
     _ranks,
     render_svg,
@@ -256,9 +257,10 @@ def test_ranking_a_wide_fan_takes_n_log_n_comparisons():
 
 # numbers whose text is easy to get wrong when equal numbers share it:
 # 0.0 and -0.0 read "0" and "-0", 999999.5 and 1e6 are where "g" turns to
-# exponent form and an int above 2**53 reads as the float nearest it; True
-# reads "1", 10**400 has no float, and Decimal("48.0"), equal to the y of a
-# lane name, reads "48.0" (20.0 is a pool's top, 130.0 a lane's height)
+# exponent form and an int above 2**53 reads as the float nearest it.  NaN,
+# the infinities, bools, 10**400 (no float) and Decimals break the hint
+# rules; Decimal("48.0") equals the y of a lane name (20.0 is a pool's top,
+# 130.0 a lane's height)
 _plain_numbers = st.one_of(
     st.sampled_from([0.0, -0.0, 0]),
     st.sampled_from([
@@ -296,8 +298,9 @@ def _base_models():
 @st.composite
 def models_and_hints(draw):
     """A builder model with its names drawn anew, and layout hints: four
-    Decimals for every node, or four numbers (or, among any numbers, two to
-    five) for some of its nodes and for an id it lacks."""
+    numbers, as a tuple or a list (or, among any numbers, two to five), for
+    some of its nodes and for an id it lacks; now and then as a list of
+    (id, box) pairs in place of a dict."""
     model = draw(st.sampled_from(_base_models()))
     pools = []
     for pool in model.pools:
@@ -307,13 +310,29 @@ def models_and_hints(draw):
     model = replace(model, pools=tuple(pools))
     ids = [node.id for node in model.iter_nodes()]
     numbers = draw(st.sampled_from([_plain_numbers, _plain_numbers, _decimals, _any_numbers]))
-    if numbers is _decimals:  # every node, so that no float meets a Decimal
-        return model, {node_id: draw(st.tuples(*[numbers] * 4)) for node_id in ids}
-    box = st.tuples(*[numbers] * 4)
+    box = st.tuples(*[numbers] * 4) | st.lists(numbers, min_size=4, max_size=4)
     if numbers is _any_numbers:
-        box |= st.lists(numbers, min_size=2, max_size=5).map(tuple)
+        box |= st.lists(numbers, min_size=2, max_size=5)
     hints = draw(st.dictionaries(st.sampled_from(ids + ["no-such-node"]), box, min_size=1))
+    if draw(st.sampled_from(range(10))) == 9:
+        return model, list(hints.items())
     return model, hints
+
+
+def _keeps_the_rules(hints):
+    """The hint rules, stated apart from ``check_layout``: a dict mapping
+    each id to a list or tuple of four ints or floats (no bools) whose float
+    values are finite."""
+    def number(v):
+        try:
+            return type(v) in (int, float) and math.isfinite(float(v))
+        except OverflowError:
+            return False
+
+    return isinstance(hints, dict) and all(
+        isinstance(box, (list, tuple)) and len(box) == 4 and all(map(number, box))
+        for box in hints.values()
+    )
 
 
 def _outcome(render, model, hints):
@@ -326,23 +345,36 @@ def _outcome(render, model, hints):
 @settings(max_examples=400, deadline=None)
 @given(models_and_hints())
 def test_render_matches_the_old_renderer(model_and_hints):
+    # hints that keep the rules render as the old renderer rendered them as
+    # floats; all others are refused, before a model without nodes is
     model, hints = model_and_hints
-    assert _outcome(render_svg, model, hints) == _outcome(old_render.render_svg, model, hints)
+    if not _keeps_the_rules(hints):
+        with pytest.raises(BadLayout):
+            render_svg(model, hints)
+        return
+    floats = {node_id: tuple(map(float, box)) for node_id, box in hints.items()}
+    assert _outcome(render_svg, model, hints) == _outcome(old_render.render_svg, model, floats)
 
 
 @pytest.mark.parametrize(
-    "hints",
+    "hints, refused",
     [
-        {"t-1": (0.0, -0.0, 110, 60), "n-end": (-0.0, 0.0, 36, 36)},
-        {"t-1": (True, 1, 1.0, False)},
-        {node_id: (Decimal("130"), Decimal("48.0"), Decimal("1.0"), Decimal("-0"))
-         for node_id in ("n-start", "t-1", "n-end")},
+        ({"t-1": (0.0, -0.0, 110, 60), "n-end": (-0.0, 0.0, 36, 36)}, False),
+        ({"t-1": (True, 1, 1.0, False)}, True),
+        ({node_id: (Decimal("130"), Decimal("48.0"), Decimal("1.0"), Decimal("-0"))
+          for node_id in ("n-start", "t-1", "n-end")}, True),
     ],
     ids=["signed-zeros", "bools", "decimals"],
 )
-def test_equal_numbers_keep_their_own_text(hints):
+def test_equal_numbers_keep_their_own_text(hints, refused):
+    # bools and Decimals equal ints and floats but are not numbers to the
+    # hint rules, so they never share a number's text
     model = linear_model()
-    assert render_svg(model, hints) == old_render.render_svg(model, hints)
+    if refused:
+        with pytest.raises(BadLayout, match="is not a list of four finite numbers"):
+            render_svg(model, hints)
+    else:
+        assert render_svg(model, hints) == old_render.render_svg(model, hints)
 
 
 def test_render_matches_the_old_renderer_on_the_base_models():

@@ -321,6 +321,24 @@ def test_e_xml_on_texts_the_reader_does_not_keep(edit, element_id, message):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda mdl: rename_node(mdl, "t-1", ""), "task <task> lacks an id"),
+        (lambda mdl: _with_flow(mdl, id=""), "sequenceFlow <sequenceFlow> lacks an id"),
+    ],
+    ids=["task", "flow"],
+)
+def test_e_ref_on_an_empty_id(edit, message):
+    # serialize_model writes id="", and the reader refuses it in these words
+    model = edit(linear_model())
+    expected = [("E-REF", None, message)]
+    assert [(d.code, d.element_id, d.message) for d in validate_model(model)] == expected
+    back = parse_model(serialize_model(model))
+    assert back.model is None
+    assert [(d.code, d.element_id, d.message) for d in back.diagnostics] == expected
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda mdl: _with_flow(mdl, condition="a\rb"),

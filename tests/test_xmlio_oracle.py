@@ -15,7 +15,7 @@ from dataclasses import replace
 from xml.sax.saxutils import quoteattr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import old_xmlio
@@ -508,8 +508,9 @@ def text_variants(draw):
     """The fixture or one of its ``extension_variants`` with one name, role,
     reflection lane or condition drawn anew, from text that may hold a
     character XML 1.0 cannot carry, a condition that may be empty or have
-    white space at an end; then, it may be, a node id with white space or a
-    carriage return in it, and an annotation with text drawn the same way."""
+    white space at an end; then, it may be, a node id that is empty or has
+    white space or a carriage return in it, and an annotation with text
+    drawn the same way."""
     model = draw(
         st.one_of(
             st.just(parse_model(FIXTURE_BYTES).model),
@@ -552,18 +553,19 @@ def text_variants(draw):
     if draw(st.booleans()):
         node_id = draw(st.sampled_from([n.id for n in pool.nodes]))
         middle = draw(st.sampled_from(["", "\r", " "]))
-        model = rename_node(
-            model, node_id, draw(_margin) + node_id[:2] + middle + node_id[2:] + draw(_margin)
-        )
+        new_id = draw(_margin) + node_id[:2] + middle + node_id[2:] + draw(_margin)
+        model = rename_node(model, node_id, draw(st.sampled_from([new_id, ""])))
     return model
 
 
 @settings(max_examples=150, deadline=None)
 @given(text_variants())
+@example(rename_node(parse_model(FIXTURE_BYTES).model, "task-report-bug", ""))
 def test_models_with_raw_text_that_validate_round_trip(model):
     if any(d.severity is Severity.ERROR for d in validate_model(model)):
         return
     assert parse_model(serialize_model(model)).model == model
+    assert render_svg(model).startswith(b"<?xml")
 
 
 @pytest.mark.parametrize(
