@@ -10,9 +10,9 @@ agentic well-formedness beyond that is the job of :mod:`hagent.validate`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
 
 class ModelError(Exception):
@@ -52,7 +52,7 @@ WORKER = "worker"
 HUMAN = "human"  # distinguished marker for non-agentic lanes in role maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustScore:
     """Trustworthiness as an integer percent.
 
@@ -71,7 +71,7 @@ def mk_trust_score(value: int) -> TrustScore:
     return TrustScore(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentProfile:
     """Profile of an agentic lane: role plus optional trust score.
 
@@ -89,7 +89,7 @@ class ReflectionKind(str, enum.Enum):
     HUMAN = "human"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReflectionMode:
     """Answer-refinement loop attached to an agentic task."""
 
@@ -99,7 +99,7 @@ class ReflectionMode:
     human_lane_id: Optional[str] = None  # human-reflection only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgenticTaskInfo:
     reflection: Optional[ReflectionMode] = None
     trust: Optional[TrustScore] = None
@@ -142,7 +142,7 @@ class GatewayDirection(str, enum.Enum):
 MessageFlowDirection = GatewayDirection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgenticRegionInfo:
     """Collaboration (diverging) or merge (merging) marker on a gateway or
     a message flow: exactly one of ``collaboration`` / ``merge`` is set,
@@ -175,7 +175,7 @@ class GatewayKind(str, enum.Enum):
     COMPLEX = "complex"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowNode:
     id: str
     lane_id: str
@@ -183,33 +183,33 @@ class FlowNode:
     foreign_ext: Tuple[str, ...] = ()  # opaque foreign extension fragments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StartEvent(FlowNode):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndEvent(FlowNode):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task(FlowNode):
     agentic: Optional[AgenticTaskInfo] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubProcess(FlowNode):
     """Modeled but opaque: no nested execution semantics."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gateway(FlowNode):
     kind: GatewayKind = GatewayKind.EXCLUSIVE
     agentic: Optional[AgenticRegionInfo] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceFlow:
     id: str
     source_id: str
@@ -217,7 +217,7 @@ class SequenceFlow:
     condition: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageFlow:
     id: str
     source_id: str
@@ -226,26 +226,26 @@ class MessageFlow:
     foreign_ext: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     id: str
     text: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Association:
     id: str
     source_id: str
     target_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     id: str
     name: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DataObject:
     id: str
     name: str = ""
@@ -254,7 +254,7 @@ class DataObject:
 Artifact = Union[Annotation, Association, Group, DataObject]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lane:
     id: str
     name: str = ""
@@ -263,7 +263,7 @@ class Lane:
     foreign_ext: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pool:
     id: str
     name: str = ""
@@ -273,6 +273,33 @@ class Pool:
     artifacts: Tuple[Artifact, ...] = ()
     multi_instance: bool = False
     opaque_elements: Tuple[str, ...] = ()  # unsupported BPMN, preserved verbatim
+
+
+def _maker(cls) -> Callable:
+    """A function of every field of the slotted record ``cls``, positional
+    in field order, that returns what ``cls(...)`` returns for the same
+    values.  It makes the instance with ``object.__new__`` and sets each
+    field through its slot descriptor, where the frozen ``__init__`` calls
+    ``object.__setattr__`` once per field.  Generated, as ``dataclasses``
+    generates ``__init__``, so that each field costs one call."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} checks its fields; build it with its constructor")
+    names = [f.name for f in fields(cls)]
+    namespace = {"new": object.__new__, "cls": cls}
+    lines = [f"def make({', '.join(names)}):", "    self = new(cls)"]
+    for name in names:
+        namespace["set_" + name] = getattr(cls, name).__set__
+        lines.append(f"    set_{name}(self, {name})")
+    lines.append("    return self")
+    exec("\n".join(lines), namespace)
+    return namespace["make"]
+
+
+# the records parse_model builds in bulk, each with its maker
+_MAKERS = {
+    cls: _maker(cls)
+    for cls in (StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, Lane)
+}
 
 
 @dataclass(frozen=True)

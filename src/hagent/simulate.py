@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -488,17 +488,28 @@ class _Simulation:
     def finish_output(
         self, task: m.Task, behavior: Optional[ScriptedBehavior], output
     ) -> CandidateOutput:
-        updates = {}
-        if output.producer_lane_id is None:
-            updates["producer_lane_id"] = task.lane_id
+        producer = output.producer_lane_id
+        latency = output.latency_ms
+        completeness = output.completeness
         if behavior is not None:
-            if output.latency_ms is None:
-                lat = self.effective_latency(behavior)
-                if lat is not None:
-                    updates["latency_ms"] = lat
-            if output.completeness is None and behavior.completeness is not None:
-                updates["completeness"] = behavior.completeness
-        return replace(output, **updates) if updates else output
+            if latency is None:
+                latency = self.effective_latency(behavior)
+            if completeness is None:
+                completeness = behavior.completeness
+        if (
+            producer is not None
+            and latency is output.latency_ms
+            and completeness is output.completeness
+        ):
+            return output
+        return CandidateOutput(
+            output.label,
+            output.payload,
+            output.confidence,
+            task.lane_id if producer is None else producer,
+            latency,
+            completeness,
+        )
 
     def execute_task(self, task: m.Task, required: bool = False) -> CandidateOutput:
         behavior = self.behavior_for(task, required)
@@ -893,7 +904,8 @@ _HAND_OFF = object()  # the document uses YAML outside the scanner's subset
 _OUTSIDE_SUBSET = re.compile(
     "[^\n\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010ffff]"
 )
-# Characters that may not start a plain scalar; "-" may, before a non-space.
+# Characters that may not start a plain scalar; "-", "?" and ":" may, before
+# a non-space (in block context, which is where _plain reads).
 _INDICATORS = frozenset("-?:,[]{}#&*!|>'\"%@`")
 # A quoted scalar that closes on its line; a double-quoted one has no escape.
 _QUOTED_TEXT = r"""'[^']*(?:''[^']*)*'|"[^"\\]*\""""
@@ -1142,7 +1154,7 @@ def _plain(text: str):
     ``_HAND_OFF`` when ``text`` is not one plain scalar on its own."""
     if (
         not text
-        or (text[0] in _INDICATORS and (text[0] != "-" or text[1:2] in ("", " ")))
+        or (text[0] in _INDICATORS and (text[0] not in "-?:" or text[1:2] in ("", " ")))
         or " #" in text
         or ": " in text
         or text[-1] == ":"

@@ -339,8 +339,12 @@ def _check_xml_chars(model):
 def _check_read_back_texts(model):
     # the reader refuses an empty id (the index holds at most one), strips a
     # condition, reads an empty one as none, and strips the node ids it reads
-    # from flowNodeRef (str.strip: XML's white space and Unicode's)
+    # from flowNodeRef (str.strip: XML's white space and Unicode's); it
+    # reads a definitions element without an id as a model called
+    # "definitions"
     out = []
+    if not model.id:
+        out.append(_diag("E-REF", Severity.ERROR, None, "model <definitions> lacks an id"))
     if "" in model.index:
         kind = type(model.index[""]).__name__
         kind = kind[0].lower() + kind[1:]  # a task reads "task <task>", as the reader says

@@ -83,10 +83,15 @@ _ASSOCIATION = _BPMN + "association"
 _GROUP = _BPMN + "group"
 _DATA_OBJECT = _BPMN + "dataObject"
 
+# the reader builds its records with their makers (see model._maker)
+_make_lane = m._MAKERS[m.Lane]
+_make_sequence_flow = m._MAKERS[m.SequenceFlow]
+_make_task = m._MAKERS[m.Task]
+_make_gateway = m._MAKERS[m.Gateway]
 _PLAIN_NODES = {
-    "startEvent": m.StartEvent,
-    "endEvent": m.EndEvent,
-    "subProcess": m.SubProcess,
+    "startEvent": m._MAKERS[m.StartEvent],
+    "endEvent": m._MAKERS[m.EndEvent],
+    "subProcess": m._MAKERS[m.SubProcess],
 }
 _GATEWAY_KINDS = {kind.value + "Gateway": kind for kind in m.GatewayKind}
 # qualified tag -> local name of a process child that has a reader
@@ -329,6 +334,9 @@ class _Parser:
     def __init__(self):
         self.diagnostics: List[Diagnostic] = []
         self.seen_ids: dict = {}
+        # (row, *attribute items) -> the value of a clean decode; records
+        # are immutable, so equal elements on any hosts share one value
+        self.decoded: dict = {}
 
     # -- small helpers ------------------------------------------------------
 
@@ -384,8 +392,19 @@ class _Parser:
 
     def decode(self, row, elem, element_id):
         """The value of a hagent element by its row, or None after reporting
-        every unknown attribute or else the first attribute that is wrong."""
+        every unknown attribute or else the first attribute that is wrong.
+        A clean decode reports nothing, so it is made once per distinct
+        element; a failed one is made again, to report on each element."""
         attrib = elem.attrib
+        key = (row, *attrib.items())
+        value = self.decoded.get(key)
+        if value is None:
+            value = self._decode(row, attrib, element_id)
+            if value is not None:
+                self.decoded[key] = value
+        return value
+
+    def _decode(self, row, attrib, element_id):
         if not row.names.issuperset(attrib):
             for name in attrib:
                 if name not in row.names:
@@ -485,12 +504,8 @@ class _Parser:
                         node_ids.append(node_id)
                         node_lane[node_id] = lane_id
                 lanes.append(
-                    m.Lane(
-                        id=lane_id,
-                        name=lane_elem.get("name", ""),
-                        node_ids=tuple(node_ids),
-                        agentic=profile,
-                        foreign_ext=foreign,
+                    _make_lane(
+                        lane_id, lane_elem.get("name", ""), tuple(node_ids), profile, foreign
                     )
                 )
 
@@ -512,11 +527,8 @@ class _Parser:
                 if cond_elem is not None:
                     condition = (cond_elem.text or "").strip() or None
                 flows.append(
-                    m.SequenceFlow(
-                        id=elem_id,
-                        source_id=elem.get("sourceRef", ""),
-                        target_id=elem.get("targetRef", ""),
-                        condition=condition,
+                    _make_sequence_flow(
+                        elem_id, elem.get("sourceRef", ""), elem.get("targetRef", ""), condition
                     )
                 )
             elif tag == _TEXT_ANNOTATION:
@@ -551,7 +563,7 @@ class _Parser:
                         if fields is None:
                             continue
                         agentic = m.AgenticTaskInfo(**fields)
-                    node: m.FlowNode = m.Task(elem_id, lane_id, name, foreign, agentic)
+                    node: m.FlowNode = _make_task(elem_id, lane_id, name, foreign, agentic)
                 elif local in _GATEWAY_KINDS:
                     kind = _GATEWAY_KINDS[local]
                     agentic = None
@@ -559,7 +571,7 @@ class _Parser:
                         agentic = self.parse_collab_ext(hagent, elem_id, kind)
                         if agentic is None:
                             continue
-                    node = m.Gateway(elem_id, lane_id, name, foreign, kind, agentic)
+                    node = _make_gateway(elem_id, lane_id, name, foreign, kind, agentic)
                 else:
                     node = _PLAIN_NODES[local](elem_id, lane_id, name, foreign)
                     self._reject_ext(hagent, elem_id, local)

@@ -1,8 +1,12 @@
+import copy
 import gc
+import pickle
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hagent import model as m
 from hagent.validate import validate_model
@@ -35,6 +39,62 @@ def test_mk_trust_score_bounds():
 def test_raw_trust_score_is_unchecked():
     # programmatic models may carry invalid scores; the validator flags them
     assert m.TrustScore(150).value == 150
+
+
+# -- record classes and their makers ----------------------------------------
+
+# hashable values of every kind a record field holds, and some it does not
+_field_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.text(max_size=2), max_size=2).map(tuple),
+    st.sampled_from(m.GatewayKind),
+    st.builds(m.TrustScore, st.integers(-5, 105)),
+    st.builds(m.AgentProfile, st.text(max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(m._MAKERS, key=lambda cls: cls.__name__)), st.data())
+def test_makers_build_what_the_constructors_build(cls, data):
+    values = [data.draw(_field_values, label=f.name) for f in fields(cls)]
+    made, built = m._MAKERS[cls](*values), cls(*values)
+    assert type(made) is type(built) is cls
+    assert made == built
+    assert hash(made) == hash(built)
+    assert repr(made) == repr(built)
+
+
+def _records(value):
+    """Every dataclass instance reachable from ``value`` through fields and
+    tuples."""
+    out, stack = [], [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, tuple):
+            stack.extend(value)
+        elif is_dataclass(value) and not isinstance(value, type):
+            out.append(value)
+            stack.extend(getattr(value, f.name) for f in fields(value))
+    return out
+
+
+@pytest.mark.parametrize("name", ["bug-triage", "broken-no-manager"])
+def test_parsed_records_have_no_instance_dict(name):
+    # a record built by filling its __dict__ would be larger and slower to
+    # read; only the model keeps one, for cached_property and weak references
+    model = parse_model((FIXTURES / f"{name}.bpmn").read_bytes()).model
+    records = _records(model)
+    assert records[0] is model and hasattr(model, "__dict__")
+    assert {type(r) for r in records} >= {m.Pool, m.Lane, m.Task, m.Gateway, m.AgentProfile}
+    assert [r for r in records[1:] if hasattr(r, "__dict__")] == []
+    # slotted records still pickle, copy and replace as they did
+    assert pickle.loads(pickle.dumps(model)) == model
+    assert copy.deepcopy(model) == model
+    task = next(r for r in records if type(r) is m.Task)
+    assert replace(task, name="x") == m.Task(task.id, task.lane_id, "x", task.foreign_ext, task.agentic)
 
 
 # -- structural invariants ---------------------------------------------------

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hagent import model as m
@@ -755,6 +755,7 @@ _EXPLICIT_KEY = re.compile(r"(?:^|[\n{,]) *\? ")
 
 @settings(max_examples=300, deadline=None)
 @given(_scenario, st.booleans(), st.booleans())
+@example({"lanes": {"?0": {}, ":0": {}}}, False, False)  # "?" and ":" start plain keys
 def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_unicode):
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=allow_unicode)
     raw = yaml.safe_load(text)

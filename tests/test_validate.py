@@ -338,6 +338,17 @@ def test_e_ref_on_an_empty_id(edit, message):
     assert [(d.code, d.element_id, d.message) for d in back.diagnostics] == expected
 
 
+def test_e_ref_on_an_empty_model_id():
+    # the reader takes a definitions element without an id for one called
+    # "definitions", so the model would come back under another id
+    model = replace(linear_model(), id="")
+    assert [(d.code, d.element_id, d.message) for d in validate_model(model)] == [
+        ("E-REF", None, "model <definitions> lacks an id")
+    ]
+    back = parse_model(serialize_model(model))
+    assert back.diagnostics == [] and back.model.id == "definitions"
+
+
 @pytest.mark.parametrize(
     "edit",
     [

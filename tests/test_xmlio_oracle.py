@@ -174,6 +174,14 @@ CORPUS = {
         "",
         lane_ext=EXT.format('<hagent:agentProfile role="manager" trustScore="90" extra="1"/>'),
     ),
+    "a-bad-element-on-two-lanes": _fragment(
+        "",
+        lane_ext=EXT.format('<hagent:agentProfile role="worker" trustScore="x"/>'),
+    ).replace(
+        b'<bpmn:lane id="lane-maintainer" name="Maintainer">',
+        b'<bpmn:lane id="lane-maintainer" name="Maintainer">'
+        + EXT.format('<hagent:agentProfile role="worker" trustScore="x"/>').encode(),
+    ),
     "reflection-on-gateway": _replace(
         b'<hagent:collaboration mode="role"/>',
         b'<hagent:collaboration mode="role"/><hagent:reflection mode="self"/>',
@@ -365,6 +373,88 @@ def mutated_fixtures(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutated_fixtures())
 def test_readers_agree_on_mutated_fixtures(document):
+    assert_readers_agree(document)
+
+
+# the hagent elements of a host, by the host's tag: sets that both readers
+# take, then sets that both refuse, in few enough variants that equal
+# elements meet on several hosts of one document
+_COLLAB_SETS = [
+    '<hagent:collaboration mode="role"/>',
+    '<hagent:merge strategy="role.leaderDriven"/>',
+    '<hagent:collaboration mode="role"/><hagent:uncertainty trustScore="40"/>',
+]
+_REPEATED = {
+    b"lane": (
+        ['<hagent:agentProfile role="worker" trustScore="70"/>',
+         '<hagent:agentProfile trustScore="70" role="worker"/>',
+         '<hagent:agentProfile role="manager"/>'],
+        ['<hagent:agentProfile role="" trustScore="7"/>',
+         '<hagent:agentProfile role="worker" trustScore="x"/>',
+         '<hagent:agentProfile role="worker" extra="1"/>'],
+    ),
+    b"task": (
+        ['<hagent:uncertainty trustScore="80"/>',
+         '<hagent:reflection mode="self" maxRounds="3"/>',
+         '<hagent:reflection mode="self" maxRounds="3"/><hagent:uncertainty trustScore="80"/>',
+         '<hagent:reflection mode="cross" reviewers="lane-coder-a, lane-coder-b"/>',
+         '<hagent:reflection mode="human" human="lane-user"/>'],
+        ['<hagent:uncertainty trustScore="101"/>',
+         '<hagent:reflection mode="cross"/>',
+         '<hagent:reflection mode="self" maxRounds="0"/>',
+         '<hagent:merge strategy="role.composed"/>'],
+    ),
+    b"parallelGateway": (
+        _COLLAB_SETS,
+        ['<hagent:collaboration mode="chat"/>',
+         '<hagent:merge strategy="voting.majority" x="1"/>',
+         '<hagent:uncertainty trustScore="40"/>',
+         '<hagent:agentProfile role="worker"/>'],
+    ),
+    b"exclusiveGateway": ([], _COLLAB_SETS),  # E-XOR-AGENTIC
+    # the one pool's tasks: a message flow between them is refused
+    b"messageFlow": ([], _COLLAB_SETS),
+}
+# the fixture without its extensions, and the elements that may host them
+_BARE_FIXTURE = re.sub(
+    rb"\s*<bpmn:extensionElements>.*?</bpmn:extensionElements>", b"", FIXTURE_BYTES,
+    flags=re.S,
+)
+_HOST = re.compile(rb'<bpmn:(lane|task|\w+Gateway|messageFlow) id="[^"]*"[^>]*?(/?)>')
+
+
+@st.composite
+def repeated_extensions(draw):
+    """The fixture with the hagent elements of every lane, task and gateway
+    drawn anew from ``_REPEATED``; in one document of three, hosts may also
+    draw refused elements and two message flows are added."""
+    refused = draw(st.integers(0, 2)) == 0
+
+    def host(match):
+        tag, empty = match.groups()
+        clean, bad = _REPEATED[tag]
+        ext = draw(st.sampled_from([""] + clean + (bad if refused else [])))
+        if not ext:
+            return match.group()
+        opened = match.group()[:-2] + b">" if empty else match.group()
+        closed = b"</bpmn:" + tag + b">" if empty else b""
+        return opened + EXT.format(ext).encode() + closed
+
+    document = _BARE_FIXTURE
+    if refused:
+        flows = b"".join(
+            b'<bpmn:messageFlow id="mf-%d" sourceRef="task-resolve" targetRef="start-bug"/>'
+            % i for i in range(2)
+        )
+        document = document.replace(
+            b"</bpmn:collaboration>", flows + b"</bpmn:collaboration>"
+        )
+    return _HOST.sub(host, document)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_extensions())
+def test_readers_agree_on_repeated_extension_elements(document):
     assert_readers_agree(document)
 
 
@@ -561,6 +651,7 @@ def text_variants(draw):
 @settings(max_examples=150, deadline=None)
 @given(text_variants())
 @example(rename_node(parse_model(FIXTURE_BYTES).model, "task-report-bug", ""))
+@example(replace(parse_model(FIXTURE_BYTES).model, id=""))
 def test_models_with_raw_text_that_validate_round_trip(model):
     if any(d.severity is Severity.ERROR for d in validate_model(model)):
         return
