@@ -10,7 +10,7 @@ agentic well-formedness beyond that is the job of :mod:`hagent.validate`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -47,12 +47,26 @@ class MalformedRegion(ModelError):
     """A collaboration branch is not a chain of one-in, one-out nodes."""
 
 
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _record(cls):
+    """``cls`` as a frozen dataclass with slots, whose ``__setattr__`` and
+    ``__delattr__`` raise ``FrozenInstanceError`` for any name; the ones
+    ``dataclasses`` writes raise ``TypeError`` for a name that is not a
+    field, as they name the class that ``slots=True`` replaces."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
 MANAGER = "manager"
 WORKER = "worker"
 HUMAN = "human"  # distinguished marker for non-agentic lanes in role maps
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TrustScore:
     """Trustworthiness as an integer percent.
 
@@ -71,7 +85,7 @@ def mk_trust_score(value: int) -> TrustScore:
     return TrustScore(value)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class AgentProfile:
     """Profile of an agentic lane: role plus optional trust score.
 
@@ -89,7 +103,7 @@ class ReflectionKind(str, enum.Enum):
     HUMAN = "human"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ReflectionMode:
     """Answer-refinement loop attached to an agentic task."""
 
@@ -99,7 +113,7 @@ class ReflectionMode:
     human_lane_id: Optional[str] = None  # human-reflection only
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class AgenticTaskInfo:
     reflection: Optional[ReflectionMode] = None
     trust: Optional[TrustScore] = None
@@ -142,7 +156,7 @@ class GatewayDirection(str, enum.Enum):
 MessageFlowDirection = GatewayDirection
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class AgenticRegionInfo:
     """Collaboration (diverging) or merge (merging) marker on a gateway or
     a message flow: exactly one of ``collaboration`` / ``merge`` is set,
@@ -175,7 +189,7 @@ class GatewayKind(str, enum.Enum):
     COMPLEX = "complex"
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FlowNode:
     id: str
     lane_id: str
@@ -183,33 +197,33 @@ class FlowNode:
     foreign_ext: Tuple[str, ...] = ()  # opaque foreign extension fragments
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StartEvent(FlowNode):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class EndEvent(FlowNode):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Task(FlowNode):
     agentic: Optional[AgenticTaskInfo] = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SubProcess(FlowNode):
     """Modeled but opaque: no nested execution semantics."""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Gateway(FlowNode):
     kind: GatewayKind = GatewayKind.EXCLUSIVE
     agentic: Optional[AgenticRegionInfo] = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SequenceFlow:
     id: str
     source_id: str
@@ -217,7 +231,7 @@ class SequenceFlow:
     condition: Optional[str] = None
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class MessageFlow:
     id: str
     source_id: str
@@ -226,26 +240,26 @@ class MessageFlow:
     foreign_ext: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Annotation:
     id: str
     text: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Association:
     id: str
     source_id: str
     target_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Group:
     id: str
     name: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class DataObject:
     id: str
     name: str = ""
@@ -254,7 +268,7 @@ class DataObject:
 Artifact = Union[Annotation, Association, Group, DataObject]
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Lane:
     id: str
     name: str = ""
@@ -263,7 +277,7 @@ class Lane:
     foreign_ext: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Pool:
     id: str
     name: str = ""

@@ -1,0 +1,622 @@
+"""Scenario files: the scripted agent and human behaviour a simulation plays.
+
+``_SCENARIO`` describes a scenario document once, key by key.  ``_read``
+fills the policy records from the text under it in one pass; a document it
+hands off is composed by PyYAML and converts through the same rows, which
+raise the errors :func:`load_scenario` documents.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, List, NamedTuple, Optional
+
+import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.resolver import Resolver
+
+from hagent import model as m
+
+
+@dataclass(frozen=True)
+class CandidateOutput:
+    label: str
+    payload: str = ""
+    confidence: Optional[m.TrustScore] = None
+    producer_lane_id: Optional[str] = None
+    latency_ms: Optional[int] = None
+    completeness: Optional[int] = None
+
+
+@dataclass
+class ScriptedBehavior:
+    """Canned behavior for one task, consumed output-by-output."""
+
+    outputs: List[CandidateOutput] = field(default_factory=list)
+    reflection_verdicts: List[str] = field(default_factory=list)
+    vote: Optional[str] = None
+    latency_ms: Optional[int] = None
+    completeness: Optional[int] = None
+    latency_jitter_ms: Optional[int] = None
+
+
+@dataclass
+class LaneScript:
+    """Canned behavior for a lane when consulted as reviewer/voter/leader."""
+
+    reflection_verdicts: List[str] = field(default_factory=list)
+    vote: Optional[str] = None
+    manager_pick: Optional[str] = None
+
+
+@dataclass
+class ScenarioPolicy:
+    per_task: Dict[str, ScriptedBehavior] = field(default_factory=dict)
+    per_lane: Dict[str, LaneScript] = field(default_factory=dict)
+    seed: int = 0
+
+
+# -- the schema ---------------------------------------------------------------
+# A kind maps a composed value to a field value, or raises ValueError (or
+# OutOfRange) naming the key; ``path`` is the value's key path.
+
+
+def _int(value, row, path):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{row.key} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_int(value, row, path):
+    return None if value is None else _int(value, row, path)
+
+
+def _trust(value, row, path):
+    if type(value) is int and 0 <= value <= 100:
+        return _TRUST_SCORES[value]
+    return None if value is None else m.mk_trust_score(_int(value, row, path))
+
+
+def _text(value, row, path):
+    return str(value)
+
+
+def _scalar(value, row, path):
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"{path} must be a scalar, got {value!r}")
+    return None if value is None else str(value)
+
+
+def _texts(value, row, path):
+    return [str(v) for v in _shaped(value, list, path)]
+
+
+def _records(value, row, path):
+    return [_record(v, row.item, f"{path}[{i}]") for i, v in enumerate(_shaped(value, list, path))]
+
+
+def _map(value, row, path):
+    return {str(k): _record(v, row.item, f"{path}.{k}") for k, v in _shaped(value, dict, path).items()}
+
+
+def _record(value, row, path):
+    record = row.item
+    value = _shaped(value, dict, path or "scenario")
+    made = {}
+    for key, child in record.rows.items():
+        if key in value:
+            made[child.field] = child.kind(value[key], child, f"{path}.{key}" if path else key)
+        elif child.field in record.required:
+            raise ValueError(f"{path} has no {key}")
+    return record.build(**made)
+
+
+def _shaped(value, shape: type, path: str):
+    """``value``, a ``shape`` (list or dict); an empty one for None."""
+    if value is None:
+        return shape()
+    if not isinstance(value, shape):
+        raise ValueError(f"{path} must be a {'list' if shape is list else 'mapping'}, got {value!r}")
+    return value
+
+
+# TrustScore is immutable, so each score in range is built once and shared.
+_TRUST_SCORES = [m.TrustScore(value) for value in range(101)]
+
+
+class _Row(NamedTuple):
+    """A place for a value: a key of a record and the field it fills, or
+    (with no key) an item of a list or a map."""
+
+    key: str
+    field: str
+    kind: Callable
+    item: object = None  # a list's or map's item _Row; a _record's _Record
+
+
+class _Record(NamedTuple):
+    build: type
+    rows: Dict[str, _Row]  # by key, in the order the kinds check them
+    required: frozenset  # the fields with no default; absent ones take it
+
+
+def _schema(build, *rows) -> _Record:
+    required = {f.name for f in fields(build) if f.default is f.default_factory is MISSING}
+    return _Record(build, {row.key: row for row in rows}, frozenset(required))
+
+
+def _items(record: _Record) -> _Row:
+    return _Row("", "", _record, record)
+
+
+_OUTPUT = _schema(
+    CandidateOutput,
+    _Row("label", "label", _text),
+    _Row("payload", "payload", _text),
+    _Row("confidence", "confidence", _trust),
+    _Row("latencyMs", "latency_ms", _optional_int),
+    _Row("completeness", "completeness", _optional_int),
+)
+_VERDICTS = _Row("reflectionVerdicts", "reflection_verdicts", _texts, _Row("", "", _text))
+_VOTE = _Row("vote", "vote", _scalar)
+_TASK = _schema(
+    ScriptedBehavior,
+    _Row("outputs", "outputs", _records, _items(_OUTPUT)),
+    _VERDICTS,
+    _VOTE,
+    _Row("latencyMs", "latency_ms", _optional_int),
+    _Row("completeness", "completeness", _optional_int),
+    _Row("latencyJitterMs", "latency_jitter_ms", _optional_int),
+)
+_LANE = _schema(LaneScript, _VERDICTS, _VOTE, _Row("managerPick", "manager_pick", _scalar))
+_SCENARIO = _schema(
+    ScenarioPolicy,
+    _Row("tasks", "per_task", _map, _items(_TASK)),
+    _Row("lanes", "per_lane", _map, _items(_LANE)),
+    _Row("seed", "seed", _int),
+)
+_DOCUMENT = _items(_SCENARIO)
+
+
+# -- reading ------------------------------------------------------------------
+
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser
+
+    class _ScenarioLoader(Composer, CParser, SafeConstructor, Resolver):
+        """libyaml scans and parses; the rest is ``yaml.safe_load``'s Python.
+
+        The Python composer comes before ``CParser`` so that its methods
+        win: libyaml's composer recurses on the C stack and crashes the
+        interpreter on deep nesting, where the Python one raises
+        ``RecursionError``.  The constructor and resolver are the ones
+        ``safe_load`` uses, so the values are the same.
+        """
+
+        def __init__(self, stream):
+            CParser.__init__(self, stream)
+            Composer.__init__(self)
+            SafeConstructor.__init__(self)
+            Resolver.__init__(self)
+
+else:
+    _ScenarioLoader = yaml.SafeLoader
+
+# YAML caps a simple key at 1,024 characters; a key on a line no longer than
+# this is within the cap.
+_MAX_LINE = 1024
+# The tags a plain scalar may resolve to, each with its safe_load constructor.
+_SCALAR_CONSTRUCTORS = {
+    tag: SafeConstructor.yaml_constructors[tag]
+    for tag in (
+        f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "timestamp")
+    )
+}
+_CONSTRUCTOR = SafeConstructor()  # scalar constructors read only its constants
+# Resolver.resolve tries the implicit resolvers listed under a plain scalar's
+# first character (PyYAML lists none for any first character); a scalar with
+# none is text.  The table itself, so that a resolver added later counts.
+_RESOLVERS = Resolver.yaml_implicit_resolvers
+# A decimal integer: no other resolver matches it, and int() builds it as
+# the int constructor does.
+_DECIMAL = re.compile("[-+]?(?:0|[1-9][0-9]*)")
+_HAND_OFF = object()  # the document uses YAML outside the reader's subset
+
+# Anything but printable text, tabs and "\n": "\r", NEL, LS and PS (YAML 1.1
+# breaks lines at all four), control characters and a byte-order mark; and
+# the characters an ASCII text may hold.
+_OUTSIDE = re.compile(
+    "[^\t\n\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010ffff]"
+)
+_ASCII = bytes([9, 10, *range(0x20, 0x7F)])
+# Characters that may not start a plain scalar; "-", "?" and ":" may, before
+# a non-space (in block context, which is where _plain reads).
+_INDICATORS = frozenset("-?:,[]{}#&*!|>'\"%@`")
+# A quoted scalar that closes on its line; a double-quoted one has no escape.
+_QUOTED = re.compile(r"""'[^']*(?:''[^']*)*'|"[^"\\]*\"""")
+_COMMENT = re.compile(" +#")
+# A plain scalar in a flow collection: no ":", "?", "," or bracket in it and
+# no " #"; it may start with "-" before a non-space.
+_FLOW_PLAIN = (
+    r"""(?:[^ \-?:,\[\]{}#&*!|>'"%@`]|-(?=[^ ,\[\]{}]))"""
+    r"""[^ ,\[\]{}:?]*(?: +[^ ,\[\]{}:?#][^ ,\[\]{}:?]*)*"""
+)
+# One entry of a one-line flow collection with the indicator after it:
+# (plain key, quoted key, plain value, quoted value, indicator); or, where no
+# entry matches, the rest of the line.
+_FLOW_ENTRY = re.compile(
+    f" *(?:(?:({_FLOW_PLAIN})|({_QUOTED.pattern})) *: +)?"
+    f"(?:({_FLOW_PLAIN})|({_QUOTED.pattern}))? *"
+    r"([\[\]{},])|(.+)"
+)
+_ITEM, _VALUE, _NEXT = range(3)  # what a one-line flow collection waits for next
+_MAX_DEPTH = 64  # deeper flow collections go to the composing loader
+# A one-line flow mapping of as many pairs as a record has keys at most, each
+# a key in letters and a scalar: (key, decimal integer, other plain scalar,
+# double-quoted text, single-quoted scalar).
+_PAIR = (
+    f"""([A-Za-z]+) *: +(?:({_DECIMAL.pattern})(?= *[,}}])|({_FLOW_PLAIN})"""
+    f"""|"([^"\\\\]*)"|('[^']*(?:''[^']*)*'))"""
+)
+_FLAT = re.compile(
+    f"\\{{ *(?:{_PAIR}"
+    + f"(?: *, *{_PAIR}" * (len(_TASK.rows) - 1)
+    + ")?" * (len(_TASK.rows) - 1)
+    + ")? *\\}(?: +#.*)?"
+)
+
+
+def _read(text: str):
+    """The policy ``text`` describes, read straight from the text one line
+    at a time, under the schema and with no recursion; or ``_HAND_OFF``
+    where the text leaves the subset of YAML the reader reads (README.md,
+    "Scenario files"; so also on every syntax error) or the document does
+    not fit the schema.  Raises nothing."""
+    if text.encode().translate(None, _ASCII) if text.isascii() else _OUTSIDE.search(text):
+        return _HAND_OFF
+    lines = text.split("\n")
+    if "\t" in text:
+        lines = [_untab(line) for line in lines]
+    if None in lines or max(map(len, lines)) > _MAX_LINE:
+        return _HAND_OFF
+    nodes = {}  # value text -> its node: scenarios repeat values
+    holder = [None]
+    # the value of the last "key:" or "-" goes to parent[slot] and reads
+    # under row; pending while it may still open on a later line
+    parent, slot, row, pending = holder, 0, _DOCUMENT, True
+    # open block collections, outermost first: (indent, row, value, parent,
+    # slot); a record's value is its fields, built into parent[slot] on close
+    stack = []
+    top = -1  # the indent of the innermost one
+    done = False  # the document is a scalar or a flow collection
+    try:
+        for line in lines:
+            body = line.lstrip(" ")
+            if not body or body[0] == "#":
+                continue
+            indent = len(line) - len(body)
+            if done or (indent == 0 and body[:3] in ("---", "...")):
+                return _HAND_OFF
+            if body[-1] == " ":
+                body = body.rstrip(" ")
+            entry = body[0] == "-" and body[1:2] in " "
+            if pending and (
+                indent > top or (indent == top and entry and type(stack[-1][2]) is dict)
+            ):
+                opening = True  # a collection opens in the slot
+            else:
+                if pending:
+                    parent[slot] = row.kind(None, row, "")
+                opening = False
+                if top > indent:
+                    top = _close(stack, indent)
+                if top != indent:
+                    return _HAND_OFF
+                if type(stack[-1][2]) is list:
+                    if not entry:
+                        # a sequence at its mapping's indent ends at the next key
+                        if len(stack) < 2 or stack[-2][0] != indent:
+                            return _HAND_OFF
+                        stack.pop()
+                elif entry:
+                    return _HAND_OFF
+            pending = False
+            inline = not stack  # a scalar may stand here
+            if entry:
+                if opening:
+                    if row.kind is not _records and row.kind is not _texts:
+                        return _HAND_OFF
+                    top = indent
+                    stack.append((indent, row, [], None, None))
+                    parent[slot] = stack[-1][2]
+                row, items = stack[-1][1:3]
+                rest = body[1:].lstrip(" ")
+                if rest[:1] == "{" or rest[:1] == "[":  # never a key
+                    items.append(_value(rest, row.item, nodes))
+                    continue
+                items.append(None)
+                parent, slot, row = items, len(items) - 1, row.item
+                if not rest or rest[0] == "#":
+                    pending = True
+                    continue
+                indent += len(body) - len(rest)  # where a compact mapping opens
+                body = rest
+                opening = inline = True
+            first = body[0]
+            name = plain = None  # the line's key: quoted, or plain as written
+            if first == "'" or first == '"':
+                quoted = _QUOTED.match(body)
+                if quoted is None:
+                    return _HAND_OFF
+                after = body[quoted.end():].lstrip(" ")
+                if after[:1] == ":" and (len(after) == 1 or after[1] == " "):
+                    name = _unquote(quoted.group())
+                    value = after[1:].lstrip(" ")
+            elif first != "[" and first != "{":
+                colon = body.find(": ")
+                if colon < 0 and body[-1] == ":":
+                    colon = len(body) - 1
+                if colon >= 0:
+                    plain = body[:colon].rstrip(" ")
+                    value = body[colon + 1:].lstrip(" ")
+            if name is None and plain is None:
+                if not inline:
+                    return _HAND_OFF
+                parent[slot] = _value(body, row, nodes)
+                done = not stack
+                continue
+            if opening:
+                if row.kind is not _record and row.kind is not _map:
+                    return _HAND_OFF
+                top = indent
+                if row.kind is _record:
+                    stack.append((indent, row, {}, parent, slot))
+                else:
+                    stack.append((indent, row, {}, None, None))
+                    parent[slot] = stack[-1][2]
+            open_row, parent = stack[-1][1:3]
+            if open_row.kind is _record:
+                row = open_row.item.rows.get(name if plain is None else plain)
+                if row is None:  # not a key of the record, or not in plain text
+                    return _HAND_OFF
+                slot = row.field
+            else:  # a task or lane id
+                row, slot = open_row.item, name if plain is None else _plain(plain)
+                if type(slot) is not str:
+                    return _HAND_OFF
+            if slot in parent:
+                return _HAND_OFF
+            if not value or value[0] == "#":
+                parent[slot] = None
+                pending = True
+            else:
+                parent[slot] = _value(value, row, nodes)
+        if pending:
+            parent[slot] = row.kind(None, row, "")
+        _close(stack, -1)
+    except (ValueError, m.ModelError):  # the value does not fit its row
+        return _HAND_OFF
+    return holder[0]
+
+
+def _close(stack: list, indent: int) -> int:
+    """Close the block collections deeper than ``indent``, building each
+    record into its place; the indent of the innermost one left, or -1."""
+    while stack and stack[-1][0] > indent:
+        _, row, made, owner, at = stack.pop()
+        if owner is not None:
+            owner[at] = _build(row.item, made)
+    return stack[-1][0] if stack else -1
+
+
+def _value(source: str, row: _Row, nodes: dict):
+    """The value of ``row`` that ``source``, the rest of a block line,
+    holds.  One match reads a record from a one-line flow mapping of keys
+    in letters and scalars; any other node is read once per text and kept
+    in ``nodes``.  Raises ValueError where the reader hands off."""
+    match = _FLAT.fullmatch(source) if row.kind is _record else None
+    if match is None:
+        node = nodes.get(source)
+        if node is None:
+            node = nodes[source] = _node(source)
+        if node is _HAND_OFF:
+            raise ValueError("outside the reader's subset")
+        return row.kind(node, row, "")
+    record, made = row.item, {}
+    pairs = iter(match.groups())
+    for key, number, plain, double, single in zip(pairs, pairs, pairs, pairs, pairs):
+        if key is None:
+            break
+        child = record.rows.get(key)
+        if number is not None:
+            value = int(number)
+        elif plain is None:
+            value = double if single is None else _unquote(single)
+        else:
+            value = _resolve(plain) if plain[0] in _RESOLVERS else plain
+        if child is None or child.field in made or value is _HAND_OFF:
+            raise ValueError("an unknown or repeated key, or outside the reader's subset")
+        kind = child.kind
+        made[child.field] = value if kind is _text and type(value) is str else kind(value, child, "")
+    return _build(record, made)
+
+
+def _build(record: _Record, made: dict):
+    """The ``record`` of the fields ``made``; ValueError where it lacks one
+    that has no default."""
+    if not record.required.issubset(made):
+        raise ValueError(f"a {record.build.__name__} lacks a field")
+    return record.build(**made)
+
+
+def _untab(line: str) -> Optional[str]:
+    """``line`` with the tabs libyaml reads as white space (trailing ones,
+    and a run after the first key's colon) made one space, or None where it
+    holds another tab outside a comment."""
+    body = line.lstrip(" ")
+    if "\t" not in body or body[0] == "#":
+        return line
+    if body[0] == "\t":
+        return None
+    head, tab, tail = body.rstrip(" \t").partition("\t")
+    if tab:
+        head = head.rstrip(" ")
+        tail = tail.lstrip(" \t")
+        if head[-1:] != ":" or ": " in head or "'" in head or '"' in head or "\t" in tail:
+            return None
+        head = f"{head} {tail}" if tail else head
+    return line[: len(line) - len(body)] + head
+
+
+def _node(text: str):
+    """The flow collection or scalar that fills ``text``, the rest of a
+    block line."""
+    first = text[0]
+    if first == "[" or first == "{":
+        return _flow(text)
+    if first == "'" or first == '"':
+        quoted = _QUOTED.match(text)
+        if quoted is None:
+            return _HAND_OFF
+        end = quoted.end()
+        if end < len(text) and not _COMMENT.match(text, end):
+            return _HAND_OFF
+        return _unquote(quoted.group())
+    cut = text.find(" #")
+    return _plain(text if cut < 0 else text[:cut].rstrip(" "))
+
+
+def _flow(text: str):
+    """The flow collection that opens at the start of ``text`` and closes
+    on it, built with an explicit stack."""
+    stack = []  # the enclosing open collections, outermost first
+    node = closed = None
+    state = _ITEM
+    for plain_key, quoted_key, plain, quoted, indicator, rest in _FLOW_ENTRY.findall(text):
+        if rest or closed is not None:
+            # only a comment may follow the collection
+            return closed if closed is not None and _COMMENT.match(rest) else _HAND_OFF
+        # keys and values are built inline, not by a helper: this runs for
+        # every entry of every flow line
+        if plain_key or quoted_key:
+            if state != _ITEM or type(node) is not dict:
+                return _HAND_OFF
+            if quoted_key:
+                key = _unquote(quoted_key)
+            elif plain_key[0] in _RESOLVERS:
+                key = _resolve(plain_key)
+                if key is _HAND_OFF:
+                    return _HAND_OFF
+            else:
+                key = plain_key
+            state = _VALUE
+        if plain or quoted:
+            if quoted:
+                value = _unquote(quoted)
+            elif plain[0] in _RESOLVERS:
+                value = _resolve(plain)
+                if value is _HAND_OFF:
+                    return _HAND_OFF
+            else:
+                value = plain
+            if state == _VALUE:
+                node[key] = value
+            elif state == _ITEM and type(node) is list:
+                node.append(value)
+            else:  # a mapping key with no value
+                return _HAND_OFF
+            state = _NEXT
+        if indicator == ",":
+            if state != _NEXT:
+                return _HAND_OFF
+            state = _ITEM
+        elif indicator == "]" or indicator == "}":
+            # after an entry, an opening or a trailing ","
+            if state == _VALUE or (indicator == "]") != (type(node) is list):
+                return _HAND_OFF
+            if stack:
+                node, state = stack.pop(), _NEXT
+            else:
+                closed = node
+        else:  # "[" or "{"
+            child = [] if indicator == "[" else {}
+            if node is not None:
+                if state == _VALUE:
+                    node[key] = child
+                elif state == _ITEM and type(node) is list:
+                    node.append(child)
+                else:  # a collection as a key, or a missing ","
+                    return _HAND_OFF
+                stack.append(node)
+            if len(stack) >= _MAX_DEPTH:
+                return _HAND_OFF
+            node, state = child, _ITEM
+    return _HAND_OFF if closed is None else closed
+
+
+def _unquote(quoted: str) -> str:
+    if quoted[0] == "'":
+        return quoted[1:-1].replace("''", "'")
+    return quoted[1:-1]
+
+
+def _plain(text: str):
+    """The value of the plain scalar ``text`` in block context, or
+    ``_HAND_OFF`` when ``text`` is not one plain scalar on its own."""
+    if (
+        not text
+        or (text[0] in _INDICATORS and (text[0] not in "-?:" or text[1:2] in ("", " ")))
+        or " #" in text
+        or ": " in text
+        or text[-1] == ":"
+    ):
+        return _HAND_OFF
+    return _resolve(text) if text[0] in _RESOLVERS else text
+
+
+def _resolve(text: str):
+    """A plain scalar resolved and built as ``yaml.safe_load`` does."""
+    if _DECIMAL.fullmatch(text):
+        return int(text)
+    for tag, regexp in _RESOLVERS.get(text[0], ()):
+        if regexp.match(text):
+            construct = _SCALAR_CONSTRUCTORS.get(tag)
+            if construct is None:  # merge, value or yaml
+                return _HAND_OFF
+            try:
+                return construct(_CONSTRUCTOR, yaml.ScalarNode(tag, text))
+            except ValueError:  # e.g. 2001-02-30
+                return _HAND_OFF
+    return text
+
+
+def load_scenario(text) -> ScenarioPolicy:
+    """Load a scenario from YAML text or bytes.
+
+    Raises ``ValueError`` when the text is not UTF-8 or not valid YAML,
+    nests too deeply, or holds a tagged value that does not fit its tag
+    (``!!bool x``).  Raises ``ValueError`` (or :class:`hagent.model.OutOfRange`),
+    naming the key, when the document or a part of it has the wrong
+    shape, a confidence lies outside 0..100, a seed, confidence, latency,
+    jitter or completeness is not an integer, or a vote or manager pick is
+    not a scalar.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    policy = _read(text)
+    if policy is not _HAND_OFF:
+        return policy
+    try:
+        doc = yaml.load(text, Loader=_ScenarioLoader)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"scenario is not valid YAML: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("scenario nests too deeply") from exc
+    except (LookupError, AttributeError) as exc:
+        # SafeConstructor on an explicit tag that its text does not fit:
+        # "!!int ''" raises IndexError, "!!bool x" KeyError and
+        # "!!timestamp x" AttributeError
+        raise ValueError(f"scenario has a value that does not fit its tag: {exc!r}") from exc
+    return _record(doc, _DOCUMENT, "")

@@ -2,7 +2,7 @@ import copy
 import gc
 import pickle
 import weakref
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +65,22 @@ def test_makers_build_what_the_constructors_build(cls, data):
     assert made == built
     assert hash(made) == hash(built)
     assert repr(made) == repr(built)
+
+
+_SLOTTED = sorted(
+    {c for c in vars(m).values() if is_dataclass(c) and "__slots__" in vars(c)},
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", _SLOTTED, ids=[cls.__name__ for cls in _SLOTTED])
+def test_slotted_records_refuse_any_attribute_change(cls):
+    record = object.__new__(cls)
+    for name in (fields(cls)[0].name, "not_a_field"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
 
 
 def _records(value):

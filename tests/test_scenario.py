@@ -1,0 +1,171 @@
+"""Scenario files: the schema-driven reader against the loader it replaced.
+
+``old_scenario`` is that loader, kept verbatim: it built the document's
+generic values and walked them into the policy records afterwards.
+"""
+
+import re
+from pathlib import Path
+from unittest import mock
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import old_scenario
+from hagent import model as m
+from hagent import scenario
+from test_simulate import (
+    _BENCH_SHAPED,
+    _YAML_CORPUS,
+    FIXTURE_SCENARIO,
+    _load_outcome,
+    _scalar,
+    _scenario,
+    _text,
+    mutated_scenarios,
+)
+
+
+def _agree(text):
+    expected = _load_outcome(old_scenario.load_scenario, text)
+    assert _load_outcome(scenario.load_scenario, text) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenario, st.booleans())
+def test_reader_agrees_with_old_loader_on_scenarios(document, flow):
+    _agree(yaml.safe_dump(document, default_flow_style=flow))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_scenarios())
+def test_reader_agrees_with_old_loader_on_mutated_scenarios(text):
+    _agree(text)
+
+
+# any value YAML composes, nested: in the wrong place it is the wrong shape,
+# type or range
+_any = st.recursive(
+    st.one_of(_scalar, st.integers(-(10**20), 10**20), st.floats(allow_nan=False)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(_text, inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+
+
+def _places(value, path=()):
+    """The path of every value inside ``value``, its own included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _places(inner, path + (key,))
+
+
+@st.composite
+def broken_scenarios(draw):
+    """A scenario with one value replaced by any value, or one key added to
+    a mapping, written in block or flow style; or a line of a block-style
+    one written twice, which repeats a key or an entry."""
+    document = draw(_scenario)
+    places = list(_places(document))
+    path = draw(st.sampled_from(places))
+    *outer, last = path or ("",)
+    holder = document
+    for key in outer:
+        holder = holder[key]
+    how = draw(st.sampled_from(["replace", "add-key", "repeat-line"]))
+    if how == "replace" and path:
+        holder[last] = draw(_any)
+    elif how == "add-key":
+        target = holder[last] if path else document
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(["seed", "tasks", "label", "extra", "Vote"]))] = draw(_any)
+    text = yaml.safe_dump(document, default_flow_style=draw(st.booleans()))
+    if how == "repeat-line":
+        lines = text.split("\n")
+        at = draw(st.integers(0, len(lines) - 1))
+        lines.insert(at, lines[at])
+        text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(broken_scenarios())
+def test_reader_agrees_with_old_loader_on_broken_scenarios(text):
+    _agree(text)
+
+
+@pytest.mark.parametrize("place", ["vote", "label"])
+@pytest.mark.parametrize("text", [text for text, _ in _YAML_CORPUS.values()], ids=list(_YAML_CORPUS))
+def test_scalar_resolution_is_safe_loads(text, place):
+    # yes, 017, 0x1f, 1:20 and null resolve as yaml.safe_load resolves them
+    if place == "vote":
+        _agree(f"tasks:\n  t:\n    vote: {text}\n")
+    else:
+        _agree(f"tasks:\n  t:\n    outputs:\n      - {{label: {text}}}\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed: 1\t",
+        "seed:\t1",
+        "seed: \t 1\t\t",
+        "lanes:\n  l:\n    vote: a\t",
+        "lanes:\n  l:\n    reflectionVerdicts:\n      - a\t\n      - b\n",
+        "tasks:\n  t:\n    outputs:\n      - {label: a}\t\n",
+        "tasks:\n  t:\t\n    vote:\t# no vote\n",
+    ],
+    ids=["after-value", "after-colon", "runs", "nested-value", "sequence-entry", "flow", "no-value"],
+)
+def test_tab_after_a_value_loads_under_either_loader(text):
+    policy = scenario.load_scenario(text)
+    with mock.patch.object(scenario, "_ScenarioLoader", yaml.SafeLoader):
+        assert scenario.load_scenario(text) == policy
+    assert scenario._read(text) == policy
+
+
+@pytest.mark.parametrize("text", ["seed: 1\n\t\n", "\tseed: 1", "seed: 1\t# c", "lanes:\n  l:\n    vote: a\tb"])
+def test_reader_hands_off_other_tabs(text):
+    assert scenario._read(text) is scenario._HAND_OFF
+
+
+def test_fixture_and_bench_shaped_scenarios_read_as_before():
+    for text in (FIXTURE_SCENARIO, _BENCH_SHAPED):
+        assert scenario._read(text) == old_scenario.load_scenario(text)
+
+
+def _schema_keys(record, prefix=""):
+    """Every key path of the schema under ``record``, as the README writes it."""
+    for key, row in record.rows.items():
+        path = prefix + key
+        yield path
+        if row.kind is scenario._records:
+            yield from _schema_keys(row.item.item, path + "[].")
+        elif row.kind is scenario._map:
+            yield from _schema_keys(row.item.item, f"{path}.<id>.")
+
+
+def test_readme_lists_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert sorted(documented) == sorted(_schema_keys(scenario._SCENARIO))
+    assert len(documented) == len(set(documented))
+
+
+def test_trust_scores_hold_their_range():
+    with pytest.raises(m.OutOfRange):
+        scenario.load_scenario("tasks: {t: {outputs: [{label: a, confidence: 101}]}}")
+    low, high = (
+        scenario.load_scenario(f"tasks: {{t: {{outputs: [{{label: a, confidence: {v}}}]}}}}")
+        .per_task["t"].outputs[0].confidence
+        for v in (0, 100)
+    )
+    assert (low, high) == (m.TrustScore(0), m.TrustScore(100))
