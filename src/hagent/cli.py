@@ -111,14 +111,18 @@ def cmd_simulate(args) -> int:
     if result.model is None:
         print(render_diagnostics(result.errors), file=sys.stderr)
         return EXIT_DOMAIN
+    text = _read(args.scenario)
     try:
-        scenario = simulate.load_scenario(_read(args.scenario))
-    except (ValueError, m.ModelError) as exc:
-        print(f"hagent: bad scenario file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    if args.seed is not None:
-        scenario.seed = args.seed
-    try:
+        # an invalid model is refused before its scenario is loaded; the
+        # check in run_simulation then finds the diagnostics validated here
+        simulate.refuse_invalid(result.model)
+        try:
+            scenario = simulate.load_scenario(text)
+        except (ValueError, m.ModelError) as exc:
+            print(f"hagent: bad scenario file: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        if args.seed is not None:
+            scenario.seed = args.seed
         trace = simulate.run_simulation(result.model, scenario)
     except (simulate.SimulationError, m.ModelError) as exc:
         print(f"hagent: simulation failed: {exc}", file=sys.stderr)

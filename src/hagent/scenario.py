@@ -251,6 +251,12 @@ _FLOW_ENTRY = re.compile(
     f"(?:({_FLOW_PLAIN})|({_QUOTED.pattern}))? *"
     r"([\[\]{},])|(.+)"
 )
+# A quoted scalar where one may start, a comment, or a run of blanks with a
+# tab in it; and a block line's entries and key, up to where its value starts.
+_TABBED = re.compile(
+    f"((?<![^ \t\\[{{,])(?:{_QUOTED.pattern}))|(?<=[ \t])#.*|[ \t]*\t[ \t]*"
+)
+_HEAD = re.compile(f"(?:- +)*(?:(?:{_QUOTED.pattern}|[^ \t'\"#\\[{{][^\t]*?) *:[ \t]+)?")
 _ITEM, _VALUE, _NEXT = range(3)  # what a one-line flow collection waits for next
 _MAX_DEPTH = 64  # deeper flow collections go to the composing loader
 # A one-line flow mapping of as many pairs as a record has keys at most, each
@@ -291,11 +297,22 @@ def _read(text: str):
     stack = []
     top = -1  # the indent of the innermost one
     done = False  # the document is a scalar or a flow collection
+    ends = None  # the value text the last line ends in
     try:
         for line in lines:
             body = line.lstrip(" ")
-            if not body or body[0] == "#":
+            if not body or body[0] == "#" or body[0] == "\t":
+                # libyaml reads a tab in a line of blanks only in the
+                # blanks after a plain scalar, deeper than the scalar's line
+                if body[:1] == "\t" and not (
+                    ends and ends[0] not in "'\"[{" and " #" not in ends
+                    and len(line) - len(body) > indent
+                ):
+                    return _HAND_OFF
+                if "#" in body:  # a comment ends the scalar
+                    ends = None
                 continue
+            ends = None
             indent = len(line) - len(body)
             if done or (indent == 0 and body[:3] in ("---", "...")):
                 return _HAND_OFF
@@ -365,6 +382,7 @@ def _read(text: str):
                 if not inline:
                     return _HAND_OFF
                 parent[slot] = _value(body, row, nodes)
+                ends = body
                 done = not stack
                 continue
             if opening:
@@ -393,6 +411,7 @@ def _read(text: str):
                 pending = True
             else:
                 parent[slot] = _value(value, row, nodes)
+                ends = value
         if pending:
             parent[slot] = row.kind(None, row, "")
         _close(stack, -1)
@@ -452,22 +471,31 @@ def _build(record: _Record, made: dict):
 
 
 def _untab(line: str) -> Optional[str]:
-    """``line`` with the tabs libyaml reads as white space (trailing ones,
-    and a run after the first key's colon) made one space, or None where it
-    holds another tab outside a comment."""
+    """``line`` with its tabs made spaces where libyaml reads them as white
+    space: in a run of blanks that ends the line or a comment, follows a
+    ":", or in a flow collection that is the line's value follows "[{," or
+    comes before "]},".  None where another tab stands outside a comment; a
+    line of blanks with a tab in it is left for ``_read`` to judge."""
     body = line.lstrip(" ")
     if "\t" not in body or body[0] == "#":
         return line
     if body[0] == "\t":
-        return None
-    head, tab, tail = body.rstrip(" \t").partition("\t")
-    if tab:
-        head = head.rstrip(" ")
-        tail = tail.lstrip(" \t")
-        if head[-1:] != ":" or ": " in head or "'" in head or '"' in head or "\t" in tail:
+        return line if body.lstrip(" \t")[:1] in ("", "#") else None
+    value = _HEAD.match(body).end()
+    flow = body[value:value + 1] in ("[", "{")
+    for match in _TABBED.finditer(body):
+        start, end = match.span()
+        if match.group(1):  # a tab in a quoted scalar is text, which the loader reads
+            if "\t" in match.group(1):
+                return None
+        elif body[start] != "#" and not (
+            end == len(body)
+            or body[end] == "#"
+            or body[start - 1] == ":"
+            or (flow and (body[start - 1] in "[{," or body[end] in "]},"))
+        ):
             return None
-        head = f"{head} {tail}" if tail else head
-    return line[: len(line) - len(body)] + head
+    return line.replace("\t", " ")
 
 
 def _node(text: str):

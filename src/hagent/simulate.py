@@ -794,8 +794,9 @@ class _Simulation:
                 queue.append(_Token(target.id, token.last_output))
 
 
-def run_simulation(model: m.ProcessModel, scenario: ScenarioPolicy) -> Trace:
-    """Execute the model under the scenario; the trace is deterministic."""
+def refuse_invalid(model: m.ProcessModel) -> None:
+    """Raise :class:`SimulationError` naming the codes of the model's
+    validation errors, if it has any."""
     from hagent.validate import validate_model
     from hagent.xmlio import Severity
 
@@ -803,6 +804,12 @@ def run_simulation(model: m.ProcessModel, scenario: ScenarioPolicy) -> Trace:
     if errors:
         codes = ", ".join(sorted({d.code for d in errors}))
         raise SimulationError(f"model has validation errors: {codes}")
+
+
+def run_simulation(model: m.ProcessModel, scenario: ScenarioPolicy) -> Trace:
+    """Execute the model under the scenario; the trace is deterministic.
+    Refuses an invalid model (:func:`refuse_invalid`)."""
+    refuse_invalid(model)
     return _Simulation(model, scenario).run()
 
 

@@ -381,7 +381,19 @@ def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
     the XML form cannot carry and ``E-XML`` for characters XML 1.0 cannot
     carry or texts the reader would not read back as they are, ordered by
     (rule code, element id).  The last three are not tested again on a model
-    that ``parse_model`` built (``model.parsed``): its reader held them."""
+    that ``parse_model`` built (``model.parsed``): its reader held them.
+
+    Computed once per model, on first use, and shared by every caller, as
+    :func:`hagent.model.analyze_regions` is; each call returns a new list.
+    """
+    found = vars(model).get("_diagnostics")
+    if found is None:
+        # models are immutable and parse_model sets parsed before it returns
+        found = vars(model)["_diagnostics"] = tuple(_diagnose(model))
+    return list(found)
+
+
+def _diagnose(model: m.ProcessModel) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     if not model.parsed:
         out += _check_extension_values(model)

@@ -88,6 +88,35 @@ def test_simulate_scenario_loader_bug_is_not_a_bad_scenario():
             main(["simulate", FIXTURE, "--scenario", SCENARIO])
 
 
+_REFUSED = "hagent: simulation failed: model has validation errors: E-MGR\n"
+
+
+def test_simulate_refuses_an_invalid_model_before_loading_its_scenario(capsys):
+    with mock.patch.object(simulate, "load_scenario", side_effect=AssertionError("loaded")):
+        assert main(["simulate", BROKEN, "--scenario", SCENARIO]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == _REFUSED
+
+
+def test_simulate_invalid_model_with_a_bad_scenario_prints_the_model_refusal(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("tasks: [a, b]\n")
+    assert main(["simulate", BROKEN, "--scenario", str(bad)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == _REFUSED
+    assert main(["simulate", FIXTURE, "--scenario", str(bad)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("hagent: bad scenario file: tasks must be a mapping")
+
+
+def test_simulate_unreadable_scenario_is_a_usage_error_once_the_model_parses(tmp_path, capsys):
+    missing = str(tmp_path / "missing.yaml")
+    for model in (BROKEN, FIXTURE):
+        assert main(["simulate", model, "--scenario", missing]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"hagent: cannot read {missing}: ")
+    unparsable = tmp_path / "bad.bpmn"
+    unparsable.write_text("<definitions")
+    assert main(["simulate", str(unparsable), "--scenario", missing]) == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("E-")
+
+
 def test_simulate_scenario_with_mistagged_value_fails(tmp_path, capsys):
     scenario = tmp_path / "tag.scn.yaml"
     scenario.write_text(

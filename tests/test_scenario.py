@@ -121,8 +121,18 @@ def test_scalar_resolution_is_safe_loads(text, place):
         "lanes:\n  l:\n    reflectionVerdicts:\n      - a\t\n      - b\n",
         "tasks:\n  t:\n    outputs:\n      - {label: a}\t\n",
         "tasks:\n  t:\t\n    vote:\t# no vote\n",
+        "seed: 1\t# c",
+        "lanes:\n  l:\n    reflectionVerdicts: [a,\tb]\n",
+        "seed: 1\n  \t\n",
+        "'seed':\t1",
+        "tasks:\n  t: {vote:\ta,\tlatencyMs:\t3}\t# c\n",
+        "lanes:\n  l:\n    vote: a\n     \t \t\n\n     \t# c\n",
     ],
-    ids=["after-value", "after-colon", "runs", "nested-value", "sequence-entry", "flow", "no-value"],
+    ids=[
+        "after-value", "after-colon", "runs", "nested-value", "sequence-entry", "flow",
+        "no-value", "before-comment", "in-flow-collection", "blank-line", "after-quoted-key",
+        "flow-mapping", "blank-lines-after-a-plain-value",
+    ],
 )
 def test_tab_after_a_value_loads_under_either_loader(text):
     policy = scenario.load_scenario(text)
@@ -131,9 +141,52 @@ def test_tab_after_a_value_loads_under_either_loader(text):
     assert scenario._read(text) == policy
 
 
-@pytest.mark.parametrize("text", ["seed: 1\n\t\n", "\tseed: 1", "seed: 1\t# c", "lanes:\n  l:\n    vote: a\tb"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed: 1\n\t\n",
+        "\tseed: 1",
+        "lanes:\n  l:\n    vote: a\tb",
+        "lanes:\n  l:\n    vote: a,\tb",  # a "," outside a flow collection is text
+        # libyaml refuses a line of blanks with a tab in it unless it follows
+        # a plain scalar, deeper than the scalar's line
+        "lanes:\n  l:\n    vote: a\n    \t\n",
+        "seed: '1'\n  \t\n",
+        "seed: 1 # c\n  \t\n",
+        "seed: 1\n# c\n  \t\n",
+    ],
+)
 def test_reader_hands_off_other_tabs(text):
     assert scenario._read(text) is scenario._HAND_OFF
+
+
+@st.composite
+def tabbed_scenarios(draw):
+    """A scenario in block or flow style with a tab put in place of a space,
+    at a line's end or after a line."""
+    text = yaml.safe_dump(draw(_scenario), default_flow_style=draw(st.booleans()))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        tab = draw(st.sampled_from(["\t", " \t", "\t# c", "\n  \t", "\n \t \t"]))
+        if draw(st.booleans()) and " " in text:
+            at = draw(st.sampled_from([i for i, c in enumerate(text) if c == " "]))
+            text = text[:at] + "\t" + text[at + 1:]
+        elif "\n" in text[at:]:
+            at = text.index("\n", at)
+            text = text[:at] + tab + text[at:]
+    return text
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="compares with libyaml")
+@settings(max_examples=300, deadline=None)
+@given(tabbed_scenarios())
+def test_reader_reads_tabs_as_libyaml_does(text):
+    # where the reader takes a text with tabs, its policy is the one libyaml
+    # composes; where it hands off, the composing loader decides
+    policy = scenario._read(text)
+    if policy is not scenario._HAND_OFF:
+        doc = yaml.load(text, Loader=scenario._ScenarioLoader)
+        assert scenario._record(doc, scenario._DOCUMENT, "") == policy
 
 
 def test_fixture_and_bench_shaped_scenarios_read_as_before():

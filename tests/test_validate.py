@@ -1,8 +1,11 @@
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from hagent import model as m
+from hagent import validate
+from hagent.simulate import load_scenario, run_simulation
 from hagent.validate import CATALOG, render_diagnostics, validate_model
 from hagent.xmlio import Severity, parse_model, serialize_model
 
@@ -505,3 +508,57 @@ def test_render_diagnostics_format():
     model = region_model(hub_role=m.WORKER)
     text = render_diagnostics(validate_model(model))
     assert text.startswith("E-MGR gw-mrg: ")
+
+
+# -- one validation per model ------------------------------------------------
+
+
+@pytest.fixture
+def catalog_runs(monkeypatch):
+    """The models the rule catalog runs over, one entry per run."""
+    runs = []
+    first = validate.CATALOG[0]
+
+    def check(model):
+        runs.append(model)
+        return first.check(model)
+
+    monkeypatch.setattr(validate, "CATALOG", [first._replace(check=check), *validate.CATALOG[1:]])
+    return runs
+
+
+def _broken():
+    return parse_model((FIXTURES / "broken-no-manager.bpmn").read_bytes()).model
+
+
+def test_each_call_returns_a_new_list_of_the_diagnostics(catalog_runs):
+    model = _broken()
+    first, second = validate_model(model), validate_model(model)
+    assert first == second and first is not second
+    first.clear()
+    assert validate_model(model) == second != []
+    assert catalog_runs == [model]
+
+
+def test_a_replace_copy_is_validated_afresh(catalog_runs):
+    model = _broken()
+    copy = replace(model)
+    assert validate_model(model) == validate_model(copy)
+    assert [id(run) for run in catalog_runs] == [id(model), id(copy)]
+
+
+@pytest.mark.parametrize("validated", [False, True], ids=["fresh", "validated"])
+def test_a_pickled_model_gives_the_same_diagnostics(validated):
+    model = _broken()
+    if validated:
+        validate_model(model)
+    copy = pickle.loads(pickle.dumps(model))
+    assert validate_model(copy) == validate_model(_broken()) != []
+
+
+def test_simulation_after_validation_runs_the_catalog_once(catalog_runs):
+    model = parse_model((FIXTURES / "bug-triage.bpmn").read_bytes()).model
+    scenario = load_scenario((FIXTURES / "bug-triage.scn.yaml").read_bytes())
+    assert validate_model(model) == []
+    assert run_simulation(model, scenario).events
+    assert catalog_runs == [model]
