@@ -18,7 +18,7 @@ from hagent import model as m
 from hagent import simulate
 from hagent.render import BadLayout, MissingLayout, check_layout, render_svg
 from hagent.validate import render_diagnostics, validate_model
-from hagent.xmlio import Severity, export_extension_schema, parse_model
+from hagent.xmlio import Severity, export_extension_schema, parse_model, paused_gc
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -185,7 +185,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        with paused_gc():
+            return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -22,8 +22,9 @@ class ModelError(Exception):
 class OutOfRange(ModelError):
     """A trust score outside the 0-100 percent range."""
 
-    def __init__(self, value: int):
-        super().__init__(f"trust score {value} outside 0..100")
+    def __init__(self, value: int, path: Optional[str] = None):
+        message = f"trust score {value} outside 0..100"
+        super().__init__(f"{path}: {message}" if path else message)
         self.value = value
 
 
@@ -78,10 +79,11 @@ class TrustScore:
     value: int
 
 
-def mk_trust_score(value: int) -> TrustScore:
-    """Checked TrustScore constructor; raises :class:`OutOfRange`."""
+def mk_trust_score(value: int, path: Optional[str] = None) -> TrustScore:
+    """Checked TrustScore constructor; raises :class:`OutOfRange`, whose
+    message starts with ``path``, the key path of the value, if given."""
     if not 0 <= value <= 100:
-        raise OutOfRange(value)
+        raise OutOfRange(value, path)
     return TrustScore(value)
 
 

@@ -65,7 +65,7 @@ class ScenarioPolicy:
 
 def _int(value, row, path):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{row.key} must be an integer, got {value!r}")
+        raise ValueError(f"{path} must be an integer, got {value!r}")
     return value
 
 
@@ -76,7 +76,7 @@ def _optional_int(value, row, path):
 def _trust(value, row, path):
     if type(value) is int and 0 <= value <= 100:
         return _TRUST_SCORES[value]
-    return None if value is None else m.mk_trust_score(_int(value, row, path))
+    return None if value is None else m.mk_trust_score(_int(value, row, path), path)
 
 
 def _text(value, row, path):

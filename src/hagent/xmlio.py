@@ -9,7 +9,9 @@ opaque blobs and survive round-trips.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import gc
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -597,6 +599,24 @@ class _Parser:
             )
 
 
+@contextlib.contextmanager
+def paused_gc():
+    """Pause the cyclic garbage collector for the block.
+
+    A stage builds thousands of records (the element tree, the model, its
+    analyses) that hold no reference cycle and go by reference counting, so
+    a collection while they are built finds nothing.  The switch is
+    process-wide; the outermost block puts back the state it found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@paused_gc()
 def parse_model(document) -> ParseResult:
     """Parse BPMN XML bytes into a model; total, never raises."""
     parser = _Parser()

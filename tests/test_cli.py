@@ -1,6 +1,8 @@
 import argparse
+import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +11,9 @@ from unittest import mock
 import pytest
 
 import hagent
-from hagent import simulate
+from hagent import cli, simulate
 from hagent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from hagent.xmlio import export_extension_schema
+from hagent.xmlio import export_extension_schema, parse_model, paused_gc, serialize_model
 
 from conftest import FIXTURES
 
@@ -341,3 +343,104 @@ def test_usage_and_help_text_repeat_exactly(argv, stream, capsys):
     assert seen[0] == seen[1] == seen[2]
     assert getattr(captured, stream).startswith("usage: hagent")
     assert code == (EXIT_OK if stream == "out" else EXIT_USAGE)
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", FIXTURE], EXIT_OK),
+        (["validate", BROKEN], EXIT_DOMAIN),
+        (["validate", "no-such-file.bpmn"], EXIT_USAGE),
+        (["frobnicate"], EXIT_USAGE),
+    ],
+    ids=["ok", "refused", "unreadable", "usage"],
+)
+def test_main_leaves_the_collector_as_it_found_it(argv, code, collector, capsys):
+    assert main(argv) == code
+    assert gc.isenabled() is collector
+
+
+def test_main_pauses_the_collector_while_a_command_runs(collector, capsys):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        return EXIT_OK
+
+    with mock.patch.dict(cli._COMMANDS, {"validate": command}):
+        assert main(["validate", FIXTURE]) == EXIT_OK
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+def test_main_leaves_the_collector_as_it_found_it_when_a_command_raises(collector):
+    with mock.patch.dict(cli._COMMANDS, {"validate": mock.Mock(side_effect=RuntimeError("bug"))}):
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["validate", FIXTURE])
+    assert gc.isenabled() is collector
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _generated_models():
+    """One small model of each benchmark workload: (name, XML, scenario)."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(BENCH))
+    cases = [
+        gen.region_chain("region-chain", random.Random(1), 4),
+        gen.delegation("delegation", random.Random(1), 8),
+        gen.lint_invalid("lint-invalid", random.Random(1), 60, ["E-MGR", "W-UNSUPPORTED"]),
+        gen.lint_invalid("lint-invalid-at-parse", random.Random(1), 60, ["E-DUP-ID"]),
+    ]
+    return [(case.id, case.xml, case.scenario) for case in cases]
+
+
+_SCENARIO_TEXT = Path(SCENARIO).read_bytes()
+_ACYCLIC_MODELS = [
+    ("bug-triage", Path(FIXTURE).read_bytes(), _SCENARIO_TEXT),
+    ("broken-no-manager", Path(BROKEN).read_bytes(), _SCENARIO_TEXT),
+    *_generated_models(),
+]
+
+
+def _cyclic_garbage(run) -> int:
+    """Objects in reference cycles that ``run`` leaves unreachable."""
+    with paused_gc():  # so that no collection frees them before they are counted
+        gc.collect()
+        run()
+        return gc.collect()
+
+
+@pytest.mark.parametrize(
+    "name, xml, scenario", _ACYCLIC_MODELS, ids=[name for name, _, _ in _ACYCLIC_MODELS]
+)
+def test_commands_leave_no_cyclic_garbage(name, xml, scenario, tmp_path, capsys):
+    # what makes it safe to pause the collector while a command runs: all
+    # its garbage goes by reference counting, the model included
+    bpmn, scn = tmp_path / "model.bpmn", tmp_path / "model.scn.yaml"
+    bpmn.write_bytes(xml)
+    scn.write_bytes(scenario)
+
+    def roundtrip():
+        parsed = parse_model(xml)
+        if parsed.model is not None:
+            serialize_model(parsed.model)
+
+    operations = {
+        "validate": lambda: main(["validate", str(bpmn)]),
+        "simulate": lambda: main(["simulate", str(bpmn), "--scenario", str(scn),
+                                  "--trace", str(tmp_path / "out.trace")]),
+        "render": lambda: main(["render", str(bpmn), "-o", str(tmp_path / "out.svg")]),
+        "roundtrip": roundtrip,
+    }
+    for run in operations.values():  # a first call sets up what is built lazily
+        run()
+    left = {op: _cyclic_garbage(run) for op, run in operations.items()}
+    assert left == dict.fromkeys(operations, 0)

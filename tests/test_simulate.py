@@ -639,6 +639,15 @@ def test_load_scenario_rejects_bad_values(document):
         ("tasks: {t1: {vote: [a]}}", "tasks.t1.vote"),
         ("lanes: {l1: {vote: {a: 1}}}", "lanes.l1.vote"),
         ("lanes: {lane-reviewer: {managerPick: [patch-B]}}", "lanes.lane-reviewer.managerPick"),
+        ("seed: x", "seed must be an integer, got 'x'$"),
+        ("tasks: {t1: {outputs: [{label: a, latencyMs: x}]}}",
+         r"tasks.t1.outputs\[0\].latencyMs must be an integer, got 'x'$"),
+        ("tasks: {t1: {completeness: 1.5}}", "tasks.t1.completeness must be an integer"),
+        ("tasks: {t1: {latencyJitterMs: true}}", "tasks.t1.latencyJitterMs must be an integer"),
+        ("tasks: {t1: {outputs: [{label: a, confidence: 900}]}}",
+         r"tasks.t1.outputs\[0\].confidence: trust score 900 outside 0..100$"),
+        ("tasks: {t1: {outputs: [{label: a, confidence: x}]}}",
+         r"tasks.t1.outputs\[0\].confidence must be an integer"),
     ],
     ids=[
         "list-document",
@@ -653,10 +662,17 @@ def test_load_scenario_rejects_bad_values(document):
         "task-vote-list",
         "lane-vote-mapping",
         "managerPick-list",
+        "seed-text",
+        "output-latencyMs-text",
+        "task-completeness-float",
+        "task-latencyJitterMs-bool",
+        "confidence-above-range",
+        "confidence-text",
     ],
 )
 def test_load_scenario_rejects_wrong_shapes(document, key):
-    with pytest.raises(ValueError, match=f"^{key}"):
+    # a confidence out of range raises OutOfRange, the others ValueError
+    with pytest.raises((ValueError, m.OutOfRange), match=f"^{key}"):
         sim.load_scenario(document)
 
 
@@ -755,9 +771,23 @@ _scenario = st.fixed_dictionaries(
 _EXPLICIT_KEY = re.compile(r"(?:^|[\n{,]) *\? ")
 
 
+def _texts_in(value):
+    """Every key and text inside a generated document."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield key
+            yield from _texts_in(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            yield from _texts_in(inner)
+    elif isinstance(value, str):
+        yield value
+
+
 @settings(max_examples=300, deadline=None)
 @given(_scenario, st.booleans(), st.booleans())
 @example({"lanes": {"?0": {}, ":0": {}}}, False, False)  # "?" and ":" start plain keys
+@example({"lanes": {"yes": {"vote": "\n"}}}, False, False)  # a quoted scalar over lines
 def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_unicode):
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=allow_unicode)
     raw = yaml.safe_load(text)
@@ -771,11 +801,13 @@ def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_un
     # the reader takes every generated scenario written in block style, or
     # in flow style on one line, that holds no backslash escape; a raw NEL,
     # LS or PS is a line break to YAML, so a scalar holding one spans lines,
-    # and the emitter writes an empty key as an explicit "? " key
+    # as does a key or text holding "\n", which the emitter quotes over
+    # several lines; and the emitter writes an empty key as an explicit "? " key
     one_line = not flow or text.count("\n") == 1
     if (
         one_line
         and not any(c in text for c in "\\\x85\u2028\u2029")
+        and not any("\n" in s for s in _texts_in(document))
         and not _EXPLICIT_KEY.search(text)
     ):
         assert policy is not scenario._HAND_OFF
@@ -888,6 +920,27 @@ def _load_outcome(load, text):
         return "error", type(exc), str(exc)
 
 
+# what load_scenario puts before an integer or range error that the old
+# loader worded without a key path: the path up to the key, or the path and ": "
+_KEY_PATH = re.compile(
+    r"(?:.*?\.)?(?=(?:seed|latencyMs|completeness|latencyJitterMs|confidence) must be an integer, got )"
+    r"|.*?: (?=trust score -?\d+ outside 0\.\.100$)",
+    re.DOTALL,
+)
+
+
+def _old_wording(outcome):
+    """``outcome`` with its error's key path cut, as the old loader worded it:
+    "tasks.t1.latencyMs must be an integer, got 'x'" reads "latencyMs must be
+    an integer, got 'x'", and "tasks.t1.outputs[0].confidence: trust score 900
+    outside 0..100" reads "trust score 900 outside 0..100"."""
+    if outcome[0] != "error":
+        return outcome
+    kind, error, message = outcome
+    cut = _KEY_PATH.match(message)
+    return kind, error, message[cut.end():] if cut else message
+
+
 @pytest.mark.parametrize(
     "events", [scenario._ScenarioLoader, yaml.SafeLoader], ids=["scenario-loader", "safe-loader"]
 )
@@ -900,7 +953,7 @@ def test_one_pass_build_agrees_with_safe_loader(text, handed_off, events):
     with mock.patch.object(old_scenario, "_ScenarioLoader", events):
         expected = _load_outcome(old_scenario.load_scenario, text)
     with mock.patch.object(scenario, "_ScenarioLoader", events):
-        assert _load_outcome(sim.load_scenario, text) == expected
+        assert _old_wording(_load_outcome(sim.load_scenario, text)) == expected
     # the reader raises nothing: it hands every syntax error to the
     # composing loader, which reports it; it also hands off a document in
     # the subset that does not fit the schema, which most of these do not

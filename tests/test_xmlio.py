@@ -1,6 +1,8 @@
 import dataclasses
 import enum
+import gc
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 
@@ -11,6 +13,7 @@ from hagent.xmlio import (
     Severity,
     export_extension_schema,
     parse_model,
+    paused_gc,
     serialize_model,
     written_texts,
 )
@@ -666,3 +669,42 @@ def test_schema_declares_all_extension_elements():
     root = _schema_root()
     names = {e.get("name") for e in root.findall(f"{{{XSD}}}element")}
     assert names == {"agentProfile", "reflection", "uncertainty", "collaboration", "merge"}
+
+
+# -- the cyclic collector ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "document",
+    [FIXTURE.read_bytes(), b"<bpmn:definitions", FIXTURE.read_text(encoding="utf-8")],
+    ids=["valid", "malformed", "text"],
+)
+def test_parse_model_pauses_the_collector_and_restores_it(document, collector):
+    seen = []
+    fromstring = ET.fromstring
+
+    def parse(data):
+        seen.append(gc.isenabled())
+        return fromstring(data)
+
+    with mock.patch.object(ET, "fromstring", parse):
+        parse_model(document)
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+def test_nested_pauses_hold_until_the_outermost_one_ends(collector):
+    with paused_gc():
+        with paused_gc():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        parse_model(FIXTURE.read_bytes())
+        assert not gc.isenabled()
+    assert gc.isenabled() is collector
+
+
+def test_a_pause_ends_when_its_block_raises(collector):
+    with pytest.raises(RuntimeError):
+        with paused_gc():
+            raise RuntimeError("bug")
+    assert gc.isenabled() is collector
