@@ -10,6 +10,7 @@ agentic well-formedness beyond that is the job of :mod:`hagent.validate`.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
@@ -314,8 +315,15 @@ def _maker(cls) -> Callable:
 # the records parse_model builds in bulk, each with its maker
 _MAKERS = {
     cls: _maker(cls)
-    for cls in (StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, Lane)
+    for cls in (
+        StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, Lane,
+        TrustScore, AgentProfile, ReflectionMode, AgenticTaskInfo,
+    )
 }
+
+# every trust score in range, by value: records are immutable, so the
+# readers of models and scenarios share these
+TRUST_SCORES = tuple(map(_MAKERS[TrustScore], range(101)))
 
 
 @dataclass(frozen=True)
@@ -352,7 +360,7 @@ class ProcessModel:
         object.__setattr__(
             self,
             "message_flows",
-            tuple(sorted(self.message_flows, key=lambda f: f.id)),
+            tuple(sorted(self.message_flows, key=_by_id)),
         )
         object.__setattr__(self, "index", _build_index(self))
         _check_invariants(self)
@@ -420,32 +428,35 @@ def _normalize_lane(lane: Lane) -> Lane:
     return lane if node_ids == lane.node_ids else replace(lane, node_ids=node_ids)
 
 
-def _by_id(element) -> str:
-    return element.id
+_by_id = operator.attrgetter("id")
+
+
+def _indexed(model: ProcessModel) -> Iterator[tuple]:
+    """The model's elements in index order, in runs."""
+    for pool in model.pools:
+        yield (pool,)
+        yield pool.lanes
+        yield pool.nodes
+        yield pool.flows
+        yield pool.artifacts
+    yield model.message_flows
 
 
 def _build_index(model: ProcessModel) -> dict:
+    # the model's own id is reserved but not stored: storing the model in
+    # its own index would put it in a reference cycle
     index: dict = {}
-
-    def add(elem_id: str, obj: object):
-        # the model's own id is reserved but not stored: storing the model
-        # in its own index would put it in a reference cycle
-        if elem_id in index or elem_id == model.id:
-            raise DuplicateId(f"duplicate element id {elem_id!r}")
-        index[elem_id] = obj
-
-    for pool in model.pools:
-        add(pool.id, pool)
-        for lane in pool.lanes:
-            add(lane.id, lane)
-        for node in pool.nodes:
-            add(node.id, node)
-        for flow in pool.flows:
-            add(flow.id, flow)
-        for artifact in pool.artifacts:
-            add(artifact.id, artifact)
-    for flow in model.message_flows:
-        add(flow.id, flow)
+    count = 0
+    for run in _indexed(model):
+        index.update(zip(map(_by_id, run), run))
+        count += len(run)
+    if len(index) != count or model.id in index:
+        seen = {model.id}  # the first id met again names the error
+        for run in _indexed(model):
+            for elem in run:
+                if elem.id in seen:
+                    raise DuplicateId(f"duplicate element id {elem.id!r}")
+                seen.add(elem.id)
     return index
 
 
@@ -469,6 +480,7 @@ def _build_adjacency(model: ProcessModel) -> dict:
 
 
 def _check_invariants(model: ProcessModel):
+    index = model.index
     node_to_pool = {}
     node_to_lane: dict = {}
     for pool in model.pools:
@@ -501,8 +513,8 @@ def _check_invariants(model: ProcessModel):
                         f"sequence flow {flow.id!r} endpoint {end!r} "
                         f"not a node of pool {pool.id!r}"
                     )
-            src = model_get(model, flow.source_id)
-            tgt = model_get(model, flow.target_id)
+            src = index[flow.source_id]  # both ends are nodes of the pool
+            tgt = index[flow.target_id]
             if isinstance(src, EndEvent):
                 raise InvariantViolation(
                     f"end event {src.id!r} has outgoing sequence flow {flow.id!r}"
@@ -514,7 +526,7 @@ def _check_invariants(model: ProcessModel):
         for artifact in pool.artifacts:
             if isinstance(artifact, Association):
                 for end in (artifact.source_id, artifact.target_id):
-                    if end not in model.index and end != model.id:
+                    if end not in index and end != model.id:
                         raise DanglingReference(
                             f"association {artifact.id!r} references {end!r}"
                         )
@@ -540,6 +552,8 @@ def model_get(model: ProcessModel, elem_id: str):
 # -- region matching --------------------------------------------------------
 
 _EXIT = object()  # virtual exit for post-dominator analysis
+_source_id = operator.attrgetter("source_id")
+_target_id = operator.attrgetter("target_id")
 
 
 def _post_dominators(model: ProcessModel, pool: Pool) -> dict:
@@ -553,26 +567,26 @@ def _post_dominators(model: ProcessModel, pool: Pool) -> dict:
     adj = model._adjacency
     exits = [n.id for n in pool.nodes if not adj[n.id].outgoing]
 
-    def rsucc(n):  # successors in the reversed graph
-        return exits if n is _EXIT else [f.source_id for f in adj[n].incoming]
-
-    def rpred(n):  # predecessors in the reversed graph
-        return [f.target_id for f in adj[n].outgoing] or [_EXIT]
-
-    order = []  # post-order of the reversed graph
-    seen = {_EXIT}
-    stack = [(_EXIT, iter(rsucc(_EXIT)))]
+    # depth-first post-order of the reversed graph; ``active`` maps each
+    # visited node to whether it is still on the stack, where an edge back
+    # to it shows a cycle
+    order = []
+    active = {_EXIT: True}
+    cyclic = False
+    stack = [(_EXIT, iter(exits))]
     while stack:
         top, it = stack[-1]
         for s in it:
-            if s not in seen:
-                seen.add(s)
-                stack.append((s, iter(rsucc(s))))
+            if s not in active:
+                active[s] = True
+                stack.append((s, map(_source_id, adj[s].incoming)))
                 break
+            cyclic = cyclic or active[s]
         else:
             order.append(top)
+            active[top] = False
             stack.pop()
-    rank = {n: i for i, n in enumerate(order)}
+    rank = dict(zip(order, range(len(order))))
 
     def meet(a, b):  # nearest common post-dominator; ids compare by value
         while a != b:
@@ -582,18 +596,27 @@ def _post_dominators(model: ProcessModel, pool: Pool) -> dict:
                 b = ipdom[b]
         return a
 
+    # reverse post-order, root excluded, each node with its predecessors in
+    # the reversed graph
+    todo = [
+        (n, tuple(map(_target_id, adj[n].outgoing)) or (_EXIT,))
+        for n in reversed(order[:-1])
+    ]
     ipdom = {_EXIT: _EXIT}
     changed = True
     while changed:
         changed = False
-        for n in reversed(order[:-1]):  # reverse post-order, root excluded
+        for n, preds in todo:
             new = None
-            for p in rpred(n):
+            for p in preds:
                 if p in ipdom:
                     new = p if new is None else meet(p, new)
             if ipdom.get(n) != new:
                 ipdom[n] = new
                 changed = True
+        # with no cycle every predecessor comes before its node in this
+        # order, so the first pass is already exact
+        changed = changed and cyclic
     return ipdom
 
 

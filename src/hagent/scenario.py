@@ -75,7 +75,7 @@ def _optional_int(value, row, path):
 
 def _trust(value, row, path):
     if type(value) is int and 0 <= value <= 100:
-        return _TRUST_SCORES[value]
+        return m.TRUST_SCORES[value]
     return None if value is None else m.mk_trust_score(_int(value, row, path), path)
 
 
@@ -120,10 +120,6 @@ def _shaped(value, shape: type, path: str):
     if not isinstance(value, shape):
         raise ValueError(f"{path} must be a {'list' if shape is list else 'mapping'}, got {value!r}")
     return value
-
-
-# TrustScore is immutable, so each score in range is built once and shared.
-_TRUST_SCORES = [m.TrustScore(value) for value in range(101)]
 
 
 class _Row(NamedTuple):

@@ -90,6 +90,7 @@ _make_lane = m._MAKERS[m.Lane]
 _make_sequence_flow = m._MAKERS[m.SequenceFlow]
 _make_task = m._MAKERS[m.Task]
 _make_gateway = m._MAKERS[m.Gateway]
+_make_task_info = m._MAKERS[m.AgenticTaskInfo]
 _PLAIN_NODES = {
     "startEvent": m._MAKERS[m.StartEvent],
     "endEvent": m._MAKERS[m.EndEvent],
@@ -167,9 +168,14 @@ class _Lexical(NamedTuple):
 
 def _integer(low, high, make=int):
     """Reads xsd:integer text in low..high as ``make(value)``, other text
-    as None."""
+    as None.  The canonical text of a value in range from 0 to 100 is read
+    by one look-up."""
+    canonical = {str(v): make(v) for v in range(max(low, 0), min(high, 100) + 1)}
 
     def read(raw):
+        value = canonical.get(raw)
+        if value is not None:
+            return value
         if raw is None or not _XSD_INTEGER.fullmatch(raw):
             return None
         try:
@@ -181,8 +187,11 @@ def _integer(low, high, make=int):
     return read
 
 
+_read_integer = _integer(-math.inf, math.inf)
+
+
 def _trust_problem(local, name, raw):
-    value = _integer(-math.inf, math.inf)(raw)
+    value = _read_integer(raw)
     if value is None:  # an absent trustScore reads as empty text
         return "E-EXT", f"{name} {raw or ''!r} is not an integer"
     return "E-TRUST-RANGE", f"{name} {value} outside 0..100"
@@ -198,10 +207,10 @@ def _enum(cls) -> _Lexical:
     )
 
 
-# an integer's text needs no escaping
+# an integer's text needs no escaping; scores come from the model's table
 _TRUST = _Lexical(
     "hagent:tTrustScore",
-    _integer(0, 100, m.TrustScore),
+    _integer(0, 100, m.TRUST_SCORES.__getitem__),
     _trust_problem,
     lambda trust: f'"{trust.value}"',
 )
@@ -219,7 +228,7 @@ _ROLE = _Lexical(  # non-empty text
 )
 _IDS = _Lexical(  # comma-separated ids; blank ones are dropped
     "xsd:string",
-    lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
+    lambda raw: tuple(filter(None, map(str.strip, raw.split(",")))),
     None,
     lambda ids: quote_attr(",".join(ids)) if ids else None,
 )
@@ -242,9 +251,9 @@ class _Attr(NamedTuple):
 @dataclass(eq=False)
 class _Element:
     """A hagent element: the host field it fills and its attributes, from
-    which ``build`` makes its value (without ``build``, the element's value
-    is its one attribute's).  ``check`` gives the message of a rule across
-    attributes that the value breaks."""
+    which the maker of the record class ``build`` makes its value (without
+    ``build``, the element's value is its one attribute's).  ``check``
+    gives the message of a rule across attributes that the value breaks."""
 
     local: str
     field: str
@@ -254,8 +263,10 @@ class _Element:
     comment: Optional[str] = None  # in the schema
 
     def __post_init__(self):
-        if self.build is not None:  # built from the attributes in field order
+        self.make = None
+        if self.build is not None:  # made from the attributes in field order
             assert [a.field for a in self.attrs] == [f.name for f in fields(self.build)]
+            self.make = m._MAKERS[self.build]
         self.open = "<hagent:" + self.local
         self.names = frozenset(a.name for a in self.attrs)
         # the attributes as the reader and the writer walk them
@@ -323,13 +334,29 @@ def _host(*locals_):
     return tuple(_ROWS[_HAGENT + local] for local in locals_)
 
 
+# the value of every element whose one attribute is an enumeration, or a
+# trust score in canonical text, as a clean decode gives it: each parse
+# starts from these
+_DECODED = {
+    (row, (attr.name, text)): attr.lexical.read(text)
+    for row in _VOCABULARY
+    if row.build is None
+    for attr in row.attrs
+    for text in attr.lexical.members or map(str, range(101))
+}
+# every marker without a trust score, made once by its checking constructor
+_MARKERS = {
+    value: m.AgenticRegionInfo(direction, **{field: value})
+    for direction, field, values in (
+        (m.GatewayDirection.DIVERGING, "collaboration", m.CollaborationMode),
+        (m.GatewayDirection.MERGING, "merge", m.MergeStrategy),
+    )
+    for value in values
+}
+
 _LANE_EXT = _host("agentProfile")
 _TASK_EXT = _host("reflection", "uncertainty")
 _COLLAB_EXT = _host("collaboration", "merge", "uncertainty")
-
-
-class _Abort(Exception):
-    """Internal: element-level parse failure already recorded."""
 
 
 class _Parser:
@@ -338,7 +365,7 @@ class _Parser:
         self.seen_ids: dict = {}
         # (row, *attribute items) -> the value of a clean decode; records
         # are immutable, so equal elements on any hosts share one value
-        self.decoded: dict = {}
+        self.decoded: dict = _DECODED.copy()
 
     # -- small helpers ------------------------------------------------------
 
@@ -348,14 +375,16 @@ class _Parser:
     def warning(self, code, element_id, message):
         self.diagnostics.append(_warn(code, element_id, message))
 
-    def require_id(self, elem, owner="element") -> str:
+    def require_id(self, elem, owner="element") -> Optional[str]:
+        """The id of ``elem``, now taken, or None after reporting that it
+        lacks one or repeats one."""
         elem_id = elem.get("id")
         if not elem_id:
             self.error("E-REF", None, f"{owner} <{_tag(elem)}> lacks an id")
-            raise _Abort()
+            return None
         if elem_id in self.seen_ids:
             self.error("E-DUP-ID", elem_id, f"duplicate element id {elem_id!r}")
-            raise _Abort()
+            return None
         self.seen_ids[elem_id] = True
         return elem_id
 
@@ -424,9 +453,9 @@ class _Parser:
                 self.error(code, element_id, message)
                 return None
             values[i] = value
-        if row.build is None:
+        if row.make is None:
             return values[0]
-        value = row.build(*values)
+        value = row.make(*values)
         if row.check is not None:
             message = row.check(value)
             if message is not None:
@@ -471,6 +500,9 @@ class _Parser:
             message = f"agentic extension not allowed on {kind.value} gateway"
             self.error("E-XOR-AGENTIC", element_id, message)
             return None
+        if len(fields) == 1:  # no trust score
+            (value,) = fields.values()
+            return _MARKERS[value]
         direction = m.GatewayDirection.DIVERGING if opens else m.GatewayDirection.MERGING
         return m.AgenticRegionInfo(direction=direction, **fields)
 
@@ -483,13 +515,16 @@ class _Parser:
         artifacts: List[m.Artifact] = []
         opaque: List[str] = []
         node_lane: dict = {}
+        # the clean path takes an id inline; require_id reports a bad one
+        seen_ids = self.seen_ids
 
         for lane_set in proc.findall(_LANE_SET):
             for lane_elem in lane_set.findall(_LANE):
-                try:
-                    lane_id = self.require_id(lane_elem, "lane")
-                except _Abort:
+                lane_id = lane_elem.get("id")
+                if not lane_id or lane_id in seen_ids:
+                    self.require_id(lane_elem, "lane")
                     continue
+                seen_ids[lane_id] = True
                 hagent, foreign = self.split_extensions(lane_elem, lane_id)
                 profile = None
                 for ext in hagent:
@@ -519,10 +554,11 @@ class _Parser:
             if local is None:
                 self.keep_unsupported(elem, proc.get("id"), opaque)
                 continue
-            try:
-                elem_id = self.require_id(elem, local)
-            except _Abort:
+            elem_id = elem.get("id")
+            if not elem_id or elem_id in seen_ids:
+                self.require_id(elem, local)
                 continue
+            seen_ids[elem_id] = True
             if tag == _SEQUENCE_FLOW:
                 condition = None
                 cond_elem = elem.find(_CONDITION_EXPRESSION)
@@ -556,7 +592,9 @@ class _Parser:
                         "E-REF", elem_id, f"node {elem_id!r} is in no lane"
                     )
                     continue
-                hagent, foreign = self.split_extensions(elem, elem_id)
+                hagent = foreign = ()
+                if len(elem):
+                    hagent, foreign = self.split_extensions(elem, elem_id)
                 name = elem.get("name", "")
                 if tag == _TASK:
                     agentic = None
@@ -564,7 +602,9 @@ class _Parser:
                         fields = self.decode_host(hagent, elem_id, _TASK_EXT, "task")
                         if fields is None:
                             continue
-                        agentic = m.AgenticTaskInfo(**fields)
+                        agentic = _make_task_info(
+                            fields.get("reflection"), fields.get("trust")
+                        )
                     node: m.FlowNode = _make_task(elem_id, lane_id, name, foreign, agentic)
                 elif local in _GATEWAY_KINDS:
                     kind = _GATEWAY_KINDS[local]
@@ -646,9 +686,8 @@ def parse_model(document) -> ParseResult:
     collaborations = root.findall(_COLLABORATION)
     for collab in collaborations:
         for part in collab.findall(_PARTICIPANT):
-            try:
-                pool_id = parser.require_id(part, "participant")
-            except _Abort:
+            pool_id = parser.require_id(part, "participant")
+            if pool_id is None:
                 continue
             proc_ref = part.get("processRef")
             proc = processes.get(proc_ref)
@@ -665,9 +704,8 @@ def parse_model(document) -> ParseResult:
             if pool is not None:
                 pools.append(pool)
         for flow_elem in collab.findall(_MESSAGE_FLOW):
-            try:
-                flow_id = parser.require_id(flow_elem, "messageFlow")
-            except _Abort:
+            flow_id = parser.require_id(flow_elem, "messageFlow")
+            if flow_id is None:
                 continue
             hagent, foreign = parser.split_extensions(flow_elem, flow_id)
             agentic = None
@@ -761,6 +799,7 @@ def _ext_lines(rows, host, indent) -> List[str]:
     return lines
 
 
+@paused_gc()
 def serialize_model(model: m.ProcessModel) -> bytes:
     """Serialize a model to canonical, byte-deterministic BPMN XML."""
     q = quote_attr

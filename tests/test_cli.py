@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 import hagent
-from hagent import cli, simulate
+from hagent import cli, simulate, xmlio
 from hagent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hagent.xmlio import export_extension_schema, parse_model, paused_gc, serialize_model
 
@@ -380,6 +380,35 @@ def test_main_leaves_the_collector_as_it_found_it_when_a_command_raises(collecto
     with mock.patch.dict(cli._COMMANDS, {"validate": mock.Mock(side_effect=RuntimeError("bug"))}):
         with pytest.raises(RuntimeError, match="bug"):
             main(["validate", FIXTURE])
+    assert gc.isenabled() is collector
+
+
+def test_serialize_model_pauses_the_collector_and_restores_it(collector):
+    # the editor's save path, the second half of the benchmark's round trip
+    model = parse_model(Path(FIXTURE).read_bytes()).model
+    seen = []
+    write_node = xmlio._write_node
+
+    def spy(lines, node):
+        seen.append(gc.isenabled())
+        write_node(lines, node)
+
+    with mock.patch.object(xmlio, "_write_node", spy):
+        serialize_model(model)
+    assert seen and not any(seen)
+    assert gc.isenabled() is collector
+    with pytest.raises(AttributeError):
+        serialize_model(None)
+    assert gc.isenabled() is collector
+
+
+def test_serialize_model_in_a_pause_leaves_it_paused(collector):
+    model = parse_model(Path(FIXTURE).read_bytes()).model
+    with paused_gc():
+        data = serialize_model(model)
+        assert not gc.isenabled()
+        assert serialize_model(parse_model(data).model) == data
+        assert not gc.isenabled()
     assert gc.isenabled() is collector
 
 

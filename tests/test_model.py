@@ -138,6 +138,23 @@ def test_model_id_is_reserved(reused):
         )
 
 
+@pytest.mark.parametrize(
+    "node_id, flow_id", [("model-1", "lane-a"), ("lane-a", "model-1")],
+    ids=["model-id-first", "lane-id-first"],
+)
+def test_duplicate_id_names_the_first_one_met(node_id, flow_id):
+    # ids are met pool by pool (the pool, its lanes, nodes, flows and
+    # artifacts), then message flows; the model's own id is taken first
+    with pytest.raises(m.DuplicateId) as raised:
+        one_pool_model(
+            lanes=[lane("lane-a", ["n-start", node_id])],
+            nodes=[m.StartEvent("n-start", "lane-a"), m.EndEvent(node_id, "lane-a")],
+            flows=[m.SequenceFlow(flow_id, "n-start", node_id)],
+            model_id="model-1",
+        )
+    assert str(raised.value) == f"duplicate element id {node_id!r}"
+
+
 def test_a_model_is_freed_without_the_cycle_collector():
     gc.disable()
     try:

@@ -8,7 +8,7 @@ import dataclasses
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hagent import model as m
@@ -365,8 +365,21 @@ def networkx_ipdom(model):
     return nx.immediate_dominators(g, "EXIT")
 
 
+def task_graph(n, edges):
+    """One pool of tasks n-0 .. n-<n-1> joined by flows (source, target)."""
+    ids = [f"n-{i}" for i in range(n)]
+    flows = [m.SequenceFlow(f"f-{j:02d}", ids[s], ids[t]) for j, (s, t) in enumerate(edges)]
+    return one_pool_model([lane("lane-a", ids)], [m.Task(i, "lane-a") for i in ids], flows)
+
+
 @settings(max_examples=400, deadline=None)
 @given(random_graphs())
+# acyclic with a diamond: one pass is exact
+@example(task_graph(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]))
+# a cycle that reaches an exit: iterated to the fixpoint
+@example(task_graph(4, [(0, 1), (1, 2), (2, 1), (2, 3)]))
+# a cycle that reaches no exit: its nodes have no post-dominator
+@example(task_graph(4, [(0, 1), (1, 2), (2, 1), (0, 3)]))
 def test_immediate_post_dominators_agree_with_networkx(model):
     ipdom = m._post_dominators(model, model.pools[0])
     assert ipdom.pop(m._EXIT) is m._EXIT

@@ -252,6 +252,16 @@ CORPUS = {
         b'<hagent:reflection mode="self" maxRounds="3"/>',
         b'<hagent:reflection mode="self" human=""/>',
     ),
+    # a trust text read from the table of scores ("0" to "100") or by value
+    **{
+        f"trust-text-{name}": _replace(b'trustScore="90"', f'trustScore="{text}"'.encode())
+        .replace(b'trustScore="80"', f'trustScore="{text}"'.encode())
+        for name, text in [
+            ("0", "0"), ("100", "100"), ("blanks", " 42 "), ("plus-zeros", "+042"),
+            ("minus-zero", "-0"), ("underscore", "1_0"), ("arabic-indic", "\u0664\u0662"),
+            ("trailing-blank", "100 "), ("101", "101"),
+        ]
+    },
     "unknown-encoding": FIXTURE_BYTES.replace(b"UTF-8", b"UTF-9", 1),
     "multi-byte-encoding": FIXTURE_BYTES.replace(b"UTF-8", b"utf-32", 1),
 }
@@ -296,6 +306,13 @@ ATTRIBUTE_TOKENS = [
     b' name="tab&#9;nl&#10;"',
     b' trustScore="x"',
     b' trustScore="101"',
+    # integer texts that are not canonical: read by value, not from the table
+    b' trustScore=" 42 "',
+    b' trustScore="+042"',
+    b' trustScore="-0"',
+    b' trustScore="1_0"',
+    ' trustScore="\u0664\u0662"'.encode(),
+    b' trustScore="100 "',
     b' maxRounds="0"',
     b' maxRounds=" +2 "',
     b' mode="debate"',
