@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -293,33 +293,37 @@ class Pool:
 
 
 def _maker(cls) -> Callable:
-    """A function of every field of the slotted record ``cls``, positional
-    in field order, that returns what ``cls(...)`` returns for the same
-    values.  It makes the instance with ``object.__new__`` and sets each
-    field through its slot descriptor, where the frozen ``__init__`` calls
+    """A function of every ``__init__`` field of the slotted record ``cls``,
+    positional in field order, that returns what ``cls(...)`` returns for
+    the same values.  It makes the instance with ``object.__new__`` and
+    sets each field, a field outside ``__init__`` to its default, through
+    its slot descriptor, where the frozen ``__init__`` calls
     ``object.__setattr__`` once per field.  Generated, as ``dataclasses``
     generates ``__init__``, so that each field costs one call."""
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"{cls.__name__} checks its fields; build it with its constructor")
-    names = [f.name for f in fields(cls)]
     namespace = {"new": object.__new__, "cls": cls}
+    names = [f.name for f in fields(cls) if f.init]
     lines = [f"def make({', '.join(names)}):", "    self = new(cls)"]
-    for name in names:
-        namespace["set_" + name] = getattr(cls, name).__set__
-        lines.append(f"    set_{name}(self, {name})")
+    for f in fields(cls):
+        namespace["set_" + f.name] = getattr(cls, f.name).__set__
+        if not f.init:
+            namespace["default_" + f.name] = f.default
+        lines.append(f"    set_{f.name}(self, {'' if f.init else 'default_'}{f.name})")
     lines.append("    return self")
     exec("\n".join(lines), namespace)
     return namespace["make"]
 
 
-# the records parse_model builds in bulk, each with its maker
+# the records parse_model and ProcessModel build in bulk, each with its maker
 _MAKERS = {
     cls: _maker(cls)
     for cls in (
-        StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, Lane,
+        StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, Lane, Pool,
         TrustScore, AgentProfile, ReflectionMode, AgenticTaskInfo,
     )
 }
+_make_pool, _make_lane = _MAKERS[Pool], _MAKERS[Lane]
 
 # every trust score in range, by value: records are immutable, so the
 # readers of models and scenarios share these
@@ -416,8 +420,9 @@ def _normalize_pools(pools) -> Tuple[Pool, ...]:
             or flows != pool.flows
             or artifacts != pool.artifacts
         ):
-            pool = replace(
-                pool, lanes=lanes, nodes=nodes, flows=flows, artifacts=artifacts
+            pool = _make_pool(
+                pool.id, pool.name, lanes, nodes, flows, artifacts,
+                pool.multi_instance, pool.opaque_elements,
             )
         out.append(pool)
     return tuple(sorted(out, key=_by_id))
@@ -425,7 +430,9 @@ def _normalize_pools(pools) -> Tuple[Pool, ...]:
 
 def _normalize_lane(lane: Lane) -> Lane:
     node_ids = tuple(sorted(lane.node_ids))
-    return lane if node_ids == lane.node_ids else replace(lane, node_ids=node_ids)
+    if node_ids == lane.node_ids:
+        return lane
+    return _make_lane(lane.id, lane.name, node_ids, lane.agentic, lane.foreign_ext)
 
 
 _by_id = operator.attrgetter("id")

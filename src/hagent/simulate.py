@@ -8,6 +8,7 @@ only for scripts that opt into latency jitter.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from hagent.scenario import (  # noqa: F401 (load_scenario is re-exported)
     LaneScript,
     ScenarioPolicy,
     ScriptedBehavior,
+    _make_output,
     load_scenario,
 )
 
@@ -63,7 +65,7 @@ class ManagerPickMissing(SimulationError):
 # -- trace events -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@m._record
 class TraceEvent:
     kind: str
     element_id: str
@@ -72,40 +74,41 @@ class TraceEvent:
         return ""
 
 
-@dataclass(frozen=True)
+@m._record
 class TokenEnter(TraceEvent):
     kind: str = field(default="TokenEnter", init=False)
 
 
-@dataclass(frozen=True)
+@m._record
 class TokenEnd(TraceEvent):
     kind: str = field(default="TokenEnd", init=False)
 
 
-def _fmt_output(output: CandidateOutput) -> str:
-    parts = [f"label={output.label}"]
-    if output.producer_lane_id:
-        parts.append(f"lane={output.producer_lane_id}")
-    if output.confidence is not None:
-        parts.append(f"confidence={output.confidence.value}")
-    if output.latency_ms is not None:
-        parts.append(f"latencyMs={output.latency_ms}")
-    if output.completeness is not None:
-        parts.append(f"completeness={output.completeness}")
-    return " ".join(parts)
-
-
-@dataclass(frozen=True)
+@m._record
 class TaskDone(TraceEvent):
     output: CandidateOutput = None
     effective_trust: m.TrustScore = None
     kind: str = field(default="TaskDone", init=False)
 
     def details(self) -> str:
-        return f"{_fmt_output(self.output)} trust={self.effective_trust.value}"
+        return _task_done_details(self)
 
 
-@dataclass(frozen=True)
+def _task_done_details(event: TaskDone) -> str:
+    output = event.output
+    text = f"label={output.label}"
+    if output.producer_lane_id:
+        text += f" lane={output.producer_lane_id}"
+    if output.confidence is not None:
+        text += f" confidence={output.confidence.value}"
+    if output.latency_ms is not None:
+        text += f" latencyMs={output.latency_ms}"
+    if output.completeness is not None:
+        text += f" completeness={output.completeness}"
+    return f"{text} trust={event.effective_trust.value}"
+
+
+@m._record
 class ReflectionRound(TraceEvent):
     round: int = 0
     verdict: str = ""
@@ -115,7 +118,7 @@ class ReflectionRound(TraceEvent):
         return f"round={self.round} verdict={self.verdict}"
 
 
-@dataclass(frozen=True)
+@m._record
 class RegionOpen(TraceEvent):
     mode: m.CollaborationMode = None
     kind: str = field(default="RegionOpen", init=False)
@@ -124,7 +127,7 @@ class RegionOpen(TraceEvent):
         return f"mode={self.mode.value}"
 
 
-@dataclass(frozen=True)
+@m._record
 class CandidateSet(TraceEvent):
     candidates: Tuple[CandidateOutput, ...] = ()
     kind: str = field(default="CandidateSet", init=False)
@@ -134,7 +137,7 @@ class CandidateSet(TraceEvent):
         return f"size={len(self.candidates)} labels={labels}"
 
 
-@dataclass(frozen=True)
+@m._record
 class MergeDecision(TraceEvent):
     strategy: m.MergeStrategy = None
     chosen_label: str = ""
@@ -148,23 +151,41 @@ class MergeDecision(TraceEvent):
         )
 
 
+# the simulation makes its events with their makers (see model._maker)
+_MAKERS = {
+    cls: m._maker(cls)
+    for cls in (TokenEnter, TokenEnd, TaskDone, ReflectionRound, RegionOpen, CandidateSet, MergeDecision)
+}
+(_token_enter, _token_end, _task_done, _reflection_round,
+ _region_open, _candidate_set, _merge_decision) = _MAKERS.values()
+
+
 @dataclass
 class Trace:
     events: List[TraceEvent] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
 
 
+# format_trace's details of an event by its type: None for none; a type not
+# listed is asked through its details()
+_DETAILS = {TokenEnter: None, TokenEnd: None, TaskDone: _task_done_details}
+_ask_details = operator.methodcaller("details")
+
+
 def format_trace(trace: Trace) -> str:
     """One event per line: ``seq<TAB>kind<TAB>elementId<TAB>details``."""
     lines = []
+    append = lines.append
+    details_of = _DETAILS.get
     for seq, event in enumerate(trace.events):
-        details = event.details()
-        line = f"{seq}\t{event.kind}\t{event.element_id}"
+        write = details_of(type(event), _ask_details)
+        details = None if write is None else write(event)
         if details:
-            line += f"\t{details}"
-        lines.append(line)
+            append(f"{seq}\t{event.kind}\t{event.element_id}\t{details}")
+        else:
+            append(f"{seq}\t{event.kind}\t{event.element_id}")
     for warning in trace.warnings:
-        lines.append(f"#\twarning\t{warning}")
+        append(f"#\twarning\t{warning}")
     return "\n".join(lines) + "\n"
 
 
@@ -176,13 +197,17 @@ def propagate_trust(
     task_trust: Optional[m.TrustScore],
     output_confidence: Optional[m.TrustScore],
 ) -> m.TrustScore:
-    """Minimal pessimistic rule: min over present values, default 100."""
-    present = [
-        t.value
-        for t in (lane_trust, task_trust, output_confidence)
-        if t is not None
-    ]
-    return m.TrustScore(min(present) if present else 100)
+    """Minimal pessimistic rule: min over present values, default 100.
+    A score in 0..100 is the shared one of ``model.TRUST_SCORES``."""
+    value = None
+    for score in (lane_trust, task_trust, output_confidence):
+        if score is not None and (value is None or score.value < value):
+            value = score.value
+    if value is None:
+        value = 100
+    if type(value) is int and 0 <= value <= 100:
+        return m.TRUST_SCORES[value]
+    return m.TrustScore(value)
 
 
 # -- merge strategies -------------------------------------------------------
@@ -373,7 +398,7 @@ def run_reflection(
                 f"{task.id}:{refl.human_lane_id}", script.reflection_verdicts
             )
         verdict = verdict if verdict == ACCEPT else REVISE
-        events.append(ReflectionRound(task.id, round=rounds, verdict=verdict))
+        events.append(_reflection_round(task.id, rounds, verdict))
         if verdict == ACCEPT:
             break
     return output, rounds, events
@@ -406,6 +431,13 @@ class _Simulation:
         self.rng = random.Random(scenario.seed)
         self.cursors = _Cursors()
         self.trace = Trace()
+        self.emit = self.trace.events.append
+        # lane id -> the lane's trust score, or None
+        self.lane_trust = {
+            lane.id: lane.agentic.trust if lane.agentic else None
+            for pool in model.pools
+            for lane in pool.lanes
+        }
         self.steps = 0
         self.step_budget = STEP_BUDGET + sum(
             len(pool.nodes) + len(pool.flows) for pool in model.pools
@@ -426,13 +458,6 @@ class _Simulation:
                 self.message_back.setdefault(pools, flow)
 
     # -- helpers ------------------------------------------------------------
-
-    def emit(self, event: TraceEvent):
-        self.trace.events.append(event)
-
-    def lane_trust(self, lane_id) -> Optional[m.TrustScore]:
-        lane = self.model.index[lane_id]
-        return lane.agentic.trust if lane.agentic else None
 
     def behavior_for(self, task: m.Task, required: bool) -> Optional[ScriptedBehavior]:
         behavior = self.scenario.per_task.get(task.id)
@@ -465,7 +490,7 @@ class _Simulation:
             and completeness is output.completeness
         ):
             return output
-        return CandidateOutput(
+        return _make_output(
             output.label,
             output.payload,
             output.confidence,
@@ -477,14 +502,12 @@ class _Simulation:
     def execute_task(self, task: m.Task, required: bool = False) -> CandidateOutput:
         behavior = self.behavior_for(task, required)
         if behavior is None:
-            output = CandidateOutput(
-                label=task.name or task.id, producer_lane_id=task.lane_id
-            )
+            output = _make_output(task.name or task.id, "", None, task.lane_id, None, None)
         elif task.agentic is not None and task.agentic.reflection is not None:
             output, _rounds, events = run_reflection(
                 task,
                 behavior,
-                self.lane_trust(task.lane_id),
+                self.lane_trust[task.lane_id],
                 self.scenario.per_lane,
                 _cursors=self.cursors,
             )
@@ -499,9 +522,9 @@ class _Simulation:
     def emit_task_done(self, task: m.Task, output: CandidateOutput):
         task_trust = task.agentic.trust if task.agentic else None
         effective = propagate_trust(
-            self.lane_trust(task.lane_id), task_trust, output.confidence
+            self.lane_trust[task.lane_id], task_trust, output.confidence
         )
-        self.emit(TaskDone(task.id, output=output, effective_trust=effective))
+        self.emit(_task_done(task.id, output, effective))
 
     # -- collaboration regions ----------------------------------------------
 
@@ -514,7 +537,7 @@ class _Simulation:
         div = model.index[region.diverging_gateway_id]
         merge_gw = model.index[region.merging_gateway_id]
         mode = div.agentic.collaboration
-        self.emit(RegionOpen(div.id, mode=mode))
+        self.emit(_region_open(div.id, mode))
 
         active: List[Tuple[Tuple[str, ...], m.SequenceFlow]] = []
         for branch, flow in zip(region.branches, model.outgoing(div.id)):
@@ -537,7 +560,7 @@ class _Simulation:
             for node_id in branch[1:-1]:
                 node = model.index[node_id]
                 self.step()
-                self.emit(TokenEnter(node_id))
+                self.emit(_token_enter(node_id))
                 if isinstance(node, m.Task):
                     branch_output = self.execute_task(node, required=True)
                     last_task = node
@@ -618,7 +641,7 @@ class _Simulation:
                 "are not executed"
             )
             return None
-        self.emit(RegionOpen(out_flow.id, mode=out_flow.agentic.collaboration))
+        self.emit(_region_open(out_flow.id, out_flow.agentic.collaboration))
         current = out_flow.target_id
         last_output = None
         visited = set()
@@ -631,7 +654,7 @@ class _Simulation:
             visited.add(current)
             node = self.model.index[current]
             self.step()
-            self.emit(TokenEnter(current))
+            self.emit(_token_enter(current))
             if isinstance(node, m.Task):
                 last_output = self.execute_task(node, required=True)
             if current == back_flow.source_id:
@@ -663,20 +686,13 @@ class _Simulation:
     def merge(self, element_id, agentic, trust_kind, candidates, votes, manager_pick):
         """Emit the candidate set, apply the merge strategy of ``agentic``
         and emit its decision; returns the winner."""
-        self.emit(CandidateSet(element_id, candidates=tuple(candidates)))
+        self.emit(_candidate_set(element_id, tuple(candidates)))
         winner, rationale = apply_merge_strategy(
             agentic.merge, candidates, votes if votes else None, manager_pick
         )
         if agentic.trust is not None:
             rationale += f" [{trust_kind} trust={agentic.trust.value}]"
-        self.emit(
-            MergeDecision(
-                element_id,
-                strategy=agentic.merge,
-                chosen_label=winner.label,
-                rationale=rationale,
-            )
-        )
+        self.emit(_merge_decision(element_id, agentic.merge, winner.label, rationale))
         return winner
 
     # -- token game ---------------------------------------------------------
@@ -722,7 +738,7 @@ class _Simulation:
             key=lambda n: n.id,
         )
         for start in starts:
-            self.emit(TokenEnter(start.id))
+            self.emit(_token_enter(start.id))
             queue.append(_Token(start.id))
 
         while queue:
@@ -731,7 +747,7 @@ class _Simulation:
             node = self.model.index[token.node_id]
 
             if isinstance(node, m.EndEvent):  # pragma: no cover - ends earlier
-                self.emit(TokenEnd(node.id))
+                self.emit(_token_end(node.id))
                 continue
 
             if isinstance(node, m.Task):
@@ -741,7 +757,7 @@ class _Simulation:
                     region = m.analyze_regions(self.model)[node.id]
                     winner = self.execute_region(region, token.last_output)
                     merge_gw = self.model.index[region.merging_gateway_id]
-                    self.emit(TokenEnter(merge_gw.id))
+                    self.emit(_token_enter(merge_gw.id))
                     token = _Token(merge_gw.id, winner)
                     node = merge_gw
                 # merging agentic gateways reached directly pass through
@@ -774,9 +790,9 @@ class _Simulation:
                     out_flow, back_flow = message_region[0], message_region[1]
                     target = self.model.index[back_flow.target_id]
                     if isinstance(target, m.EndEvent):
-                        self.emit(TokenEnd(target.id))
+                        self.emit(_token_end(target.id))
                     else:
-                        self.emit(TokenEnter(target.id))
+                        self.emit(_token_enter(target.id))
                         queue.append(_Token(target.id, winner))
                     if not self.model.outgoing(token.node_id):
                         continue
@@ -788,9 +804,9 @@ class _Simulation:
         for flow in flows:
             target = self.model.index[flow.target_id]
             if isinstance(target, m.EndEvent):
-                self.emit(TokenEnd(target.id))
+                self.emit(_token_end(target.id))
             else:
-                self.emit(TokenEnter(target.id))
+                self.emit(_token_enter(target.id))
                 queue.append(_Token(target.id, token.last_output))
 
 

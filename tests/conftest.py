@@ -6,9 +6,20 @@ import pytest
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR.parent / "fixtures"
+BENCH = TESTS_DIR.parent / "bench"
 
 if str(TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(TESTS_DIR))
+
+
+def bench_gen():
+    """The benchmark's model generator, ``bench/gen.py``, imported read-only."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(BENCH))
+    return gen
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -15,7 +15,7 @@ from hagent import cli, simulate, xmlio
 from hagent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hagent.xmlio import export_extension_schema, parse_model, paused_gc, serialize_model
 
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_gen
 
 FIXTURE = str(FIXTURES / "bug-triage.bpmn")
 BROKEN = str(FIXTURES / "broken-no-manager.bpmn")
@@ -412,16 +412,9 @@ def test_serialize_model_in_a_pause_leaves_it_paused(collector):
     assert gc.isenabled() is collector
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
 def _generated_models():
     """One small model of each benchmark workload: (name, XML, scenario)."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        import gen
-    finally:
-        sys.path.remove(str(BENCH))
+    gen = bench_gen()
     cases = [
         gen.region_chain("region-chain", random.Random(1), 4),
         gen.delegation("delegation", random.Random(1), 8),

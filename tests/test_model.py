@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import pickle
 import weakref
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hagent import model as m
+from hagent import scenario
+from hagent import simulate as sim
 from hagent.validate import validate_model
 from hagent.xmlio import parse_model
 
 from builders import lane, linear_model, one_pool_model, region_model
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_gen
 
 FIXTURE = FIXTURES / "bug-triage.bpmn"
 
@@ -56,21 +59,56 @@ _field_values = st.one_of(
 )
 
 
+# every maker: the model's, the simulation's events' and the scenario's
+_MAKERS = {**m._MAKERS, **sim._MAKERS, sim.CandidateOutput: scenario._make_output}
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(m._MAKERS, key=lambda cls: cls.__name__)), st.data())
+@given(st.sampled_from(sorted(_MAKERS, key=lambda cls: cls.__name__)), st.data())
 def test_makers_build_what_the_constructors_build(cls, data):
-    values = [data.draw(_field_values, label=f.name) for f in fields(cls)]
-    made, built = m._MAKERS[cls](*values), cls(*values)
+    values = [data.draw(_field_values, label=f.name) for f in fields(cls) if f.init]
+    made, built = _MAKERS[cls](*values), cls(*values)
     assert type(made) is type(built) is cls
     assert made == built
     assert hash(made) == hash(built)
     assert repr(made) == repr(built)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"label": st.text(max_size=3)},
+        optional={
+            name: _field_values
+            for name in ("payload", "confidence", "latency_ms", "completeness")
+        },
+    )
+)
+def test_the_scenario_reader_makes_what_the_constructor_builds(made):
+    # the reader makes each output from the fields it read
+    output, built = scenario._output(made), sim.CandidateOutput(**made)
+    assert type(output) is sim.CandidateOutput
+    assert (output, hash(output), repr(output)) == (built, hash(built), repr(built))
+
+
+def test_every_trace_event_and_output_has_a_maker():
+    events = {c for c in vars(sim).values() if isinstance(c, type) and issubclass(c, sim.TraceEvent)}
+    assert set(_MAKERS) >= events - {sim.TraceEvent} | {sim.CandidateOutput}
+
+
 _SLOTTED = sorted(
-    {c for c in vars(m).values() if is_dataclass(c) and "__slots__" in vars(c)},
+    {
+        c
+        for module in (m, sim, scenario)
+        for c in vars(module).values()
+        if is_dataclass(c) and "__slots__" in vars(c)
+    },
     key=lambda cls: cls.__name__,
 )
+
+
+def test_events_and_outputs_are_slotted_records():
+    assert set(_SLOTTED) >= set(sim._MAKERS) | {sim.TraceEvent, sim.CandidateOutput}
 
 
 @pytest.mark.parametrize("cls", _SLOTTED, ids=[cls.__name__ for cls in _SLOTTED])
@@ -111,6 +149,59 @@ def test_parsed_records_have_no_instance_dict(name):
     assert copy.deepcopy(model) == model
     task = next(r for r in records if type(r) is m.Task)
     assert replace(task, name="x") == m.Task(task.id, task.lane_id, "x", task.foreign_ext, task.agentic)
+
+
+def _fixture_trace_records():
+    model = fixture_model()
+    policy = scenario.load_scenario((FIXTURES / "bug-triage.scn.yaml").read_bytes())
+    return sim.run_simulation(model, policy).events
+
+
+def test_trace_records_have_no_instance_dict():
+    events = _fixture_trace_records()
+    records = [r for r in _records(tuple(events)) if not isinstance(r, m.TrustScore)]
+    assert {type(r) for r in records} == {
+        sim.TokenEnter, sim.TokenEnd, sim.TaskDone, sim.ReflectionRound,
+        sim.RegionOpen, sim.CandidateSet, sim.MergeDecision, sim.CandidateOutput,
+    }
+    assert [r for r in records if hasattr(r, "__dict__")] == []
+    # slotted events still pickle, copy and replace as they did
+    assert pickle.loads(pickle.dumps(events)) == events
+    assert copy.deepcopy(events) == events
+    for record in records:
+        assert replace(record) == record
+    done = next(e for e in events if type(e) is sim.TaskDone)
+    out = done.output
+    assert replace(out, label="x") == sim.CandidateOutput(
+        "x", out.payload, out.confidence, out.producer_lane_id, out.latency_ms, out.completeness
+    )
+    assert replace(done, element_id="x") == sim.TaskDone("x", out, done.effective_trust)
+    assert replace(done, element_id="x").kind == "TaskDone"
+
+
+def test_trace_event_fields_keep_their_order():
+    assert [f.name for f in fields(sim.TaskDone)] == ["kind", "element_id", "output", "effective_trust"]
+    assert sim.TokenEnter("n").kind == "TokenEnter"
+    with pytest.raises(TypeError):
+        sim.TokenEnter("TokenEnd", "n")
+
+
+def test_normalizing_a_delegation_block_replaces_no_record(monkeypatch):
+    # ProcessModel puts pools and lanes in id order; it makes the sorted
+    # copies with their makers, not with dataclasses.replace
+    gen = bench_gen()
+    calls = []
+
+    def counted(record, **changes):
+        calls.append(type(record).__name__)
+        return replace(record, **changes)
+
+    monkeypatch.setattr(dataclasses, "replace", counted)
+    monkeypatch.setattr(m, "replace", counted, raising=False)
+    cases = gen.build_deck("delegation", 7)[: gen.BLOCK_SIZE["delegation"]]
+    models = [parse_model(case.xml).model for case in cases]
+    assert None not in models
+    assert calls == []
 
 
 # -- structural invariants ---------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -24,7 +25,7 @@ from builders import (
     region_scenario_tasks,
     two_pool_message_model,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_gen
 
 
 def out(label, conf=None, lat=None, comp=None, payload=""):
@@ -64,6 +65,26 @@ def test_propagate_trust_properties(values):
     assert result == (min(present) if present else 100)
     # order of arguments never matters
     assert sim.propagate_trust(wrapped[2], wrapped[0], wrapped[1]).value == result
+    # a score in range is the shared one
+    assert sim.propagate_trust(*wrapped) is m.TRUST_SCORES[result]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(st.none(), st.integers(-300, 400)), min_size=3, max_size=3),
+    st.sampled_from([-1, 101, 150, -50]),
+)
+def test_propagate_trust_out_of_range(values, outside):
+    # built models may carry any score; validate_model reports it, and the
+    # trace shows the value as it is
+    values[0] = outside
+    wrapped = [m.TrustScore(v) if v is not None else None for v in values]
+    result = sim.propagate_trust(*wrapped)
+    least = min(v for v in values if v is not None)
+    assert type(result) is m.TrustScore and result == m.TrustScore(least)
+    if not 0 <= least <= 100:
+        assert result not in m.TRUST_SCORES
+    assert sim.propagate_trust(m.TrustScore(True), None, None).value is True
 
 
 # -- merge strategies --------------------------------------------------------
@@ -249,6 +270,35 @@ def test_trace_is_line_oriented_and_tab_separated():
         parts = line.split("\t")
         assert len(parts) in (3, 4)
         assert parts[0].isdigit()
+
+
+def fixture_trace() -> str:
+    model = parse_model((FIXTURES / "bug-triage.bpmn").read_bytes()).model
+    scenario = sim.load_scenario((FIXTURES / "bug-triage.scn.yaml").read_bytes())
+    return sim.format_trace(sim.run_simulation(model, scenario))
+
+
+def test_fixture_trace_is_the_checked_in_one():
+    assert fixture_trace().encode() == (FIXTURES / "bug-triage.trace").read_bytes()
+
+
+# sha256 of "<model id>\n<trace>" over the models of the first block of the
+# benchmark deck at seed 7, in deck order
+_BLOCK_TRACE_DIGESTS = {
+    "region-chain": "bd9a000921bbbf033ac063b9cae812d994a9751eb8f67af25fb8ff53f0fe3fdb",
+    "delegation": "d4646fbb2762246ae723210af921d71f9c3675377c8cef692342e63fdafcba82",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BLOCK_TRACE_DIGESTS))
+def test_benchmark_traces_keep_their_digests(workload):
+    gen = bench_gen()
+    digest = hashlib.sha256()
+    for case in gen.build_deck(workload, 7)[: gen.BLOCK_SIZE[workload]]:
+        model = parse_model(case.xml).model
+        trace = sim.format_trace(sim.run_simulation(model, sim.load_scenario(case.scenario)))
+        digest.update(f"{case.id}\n{trace}".encode())
+    assert digest.hexdigest() == _BLOCK_TRACE_DIGESTS[workload]
 
 
 def test_simulation_rejects_invalid_models():
