@@ -74,8 +74,11 @@ def _write_payload(data: bytes, path: Optional[str]):
     if path is None:
         sys.stdout.write(data.decode("utf-8"))
     else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise SystemExit(_usage_error(f"cannot write {path}: {exc}"))
 
 
 def _colorize(text: str) -> str:

@@ -33,14 +33,6 @@ class CandidateOutput:
 _make_output = m._maker(CandidateOutput)
 
 
-def _output(made: dict) -> CandidateOutput:
-    """``CandidateOutput(**made)``, made by its maker."""
-    get = made.get
-    return _make_output(
-        made["label"], get("payload", ""), get("confidence"), None, get("latency_ms"), get("completeness")
-    )
-
-
 @dataclass
 class ScriptedBehavior:
     """Canned behavior for one task, consumed output-by-output."""
@@ -147,12 +139,84 @@ class _Record(NamedTuple):
     build: type
     rows: Dict[str, _Row]  # by key, in the order the kinds check them
     required: frozenset  # the fields with no default; absent ones take it
-    make: Optional[Callable]  # of the dict of fields, where faster than build(**made)
+    line: Callable  # fullmatch of a one-line flow mapping of its scalar keys
+    decode: Callable  # of that match's groups, the record
+
+
+# Resolver.resolve tries the implicit resolvers listed under a plain scalar's
+# first character (PyYAML lists none for any first character); a scalar with
+# none is text.  The table itself, so that a resolver added later counts.
+_RESOLVERS = Resolver.yaml_implicit_resolvers
+# A decimal integer: no other resolver matches it, and int() builds it as
+# the int constructor does.
+_DECIMAL = re.compile("[-+]?(?:0|[1-9][0-9]*)")
+# A plain scalar in a flow collection: no ":", "?", "," or bracket in it and
+# no " #"; it may start with "-" before a non-space.
+_FLOW_PLAIN = (
+    r"""(?:[^ \-?:,\[\]{}#&*!|>'"%@`]|-(?=[^ ,\[\]{}]))"""
+    r"""[^ ,\[\]{}:?]*(?: +[^ ,\[\]{}:?#][^ ,\[\]{}:?]*)*"""
+)
+# The value of a key of a one-line flow mapping (a decimal integer, also captured
+# alone; another plain scalar; double-quoted text, no escape) and the "," or "}".
+_FLAT_VALUE = (
+    f" *: +((?:({_DECIMAL.pattern})(?= *[,}}])|{_FLOW_PLAIN}"
+    r'|"[^"\\]*")) *(?:,(?! *\}) *|(?=\}))'
+)
+# How a decoder makes argument {i} of that key's groups (value, decimal).
+_ARGUMENT = """\
+    if v{i} is None:
+        {absent}
+    elif d{i} is not None:
+        a{i} = kind{i}(int(d{i}), row{i}, "")
+    elif v{i}[0] == '"':
+        a{i} = {quoted}
+    elif v{i}[0] in resolvers:
+        a{i} = kind{i}(resolved(v{i}), row{i}, "")
+    else:
+        a{i} = {plain}
+"""
+
+
+def _resolved(plain: str):
+    value = _resolve(plain)
+    if value is _HAND_OFF:
+        raise ValueError("outside the reader's subset")
+    return value
 
 
 def _schema(build, *rows, make=None) -> _Record:
+    """The record ``build``, made by ``make`` of its fields in order, that
+    ``rows`` fill; with the regex of a one-line flow mapping of the keys
+    that read a scalar, in any order, and the decoder of its groups,
+    generated as ``model._maker`` is, which raises ValueError where the
+    reader hands off."""
     required = {f.name for f in fields(build) if f.default is f.default_factory is MISSING}
-    return _Record(build, {row.key: row for row in rows}, frozenset(required), make)
+    scalars = (_text, _scalar, _trust, _int, _optional_int)
+    flat = [row for f in fields(build) for row in rows if row.field == f.name and row.kind in scalars]
+    namespace = {"make": make or build, "resolvers": _RESOLVERS, "resolved": _resolved}
+    code, args = [], []
+    for f in fields(build):
+        namespace["default_" + f.name] = f.default_factory if f.default is MISSING else f.default
+        args.append(f"default_{f.name}" + ("()" if f.default is MISSING else ""))
+        for i, row in enumerate(flat):
+            if row.field == f.name:
+                namespace[f"row{i}"], namespace[f"kind{i}"] = row, row.kind
+                # a text stands as it is
+                kind = "{}" if row.kind in (_text, _scalar) else f'kind{i}({{}}, row{i}, "")'
+                code.append(_ARGUMENT.format(
+                    i=i,
+                    absent=f"raise ValueError('no {row.key}')" if f.name in required else f"a{i} = {args[-1]}",
+                    quoted=kind.format(f"v{i}[1:-1]"),
+                    plain=kind.format(f"v{i}"),
+                ))
+                args[-1] = f"a{i}"
+    params = ", ".join(f"v{i}, d{i}" for i in range(len(flat)))
+    exec(f"def decode({params}):\n{''.join(code)}    return make({', '.join(args)})", namespace)
+    # a key is refused where its value group is set already; two groups a key, as
+    # CPython 3.11 and 3.12 never reuse a freed 20-item tuple (five keys of four)
+    entries = "|".join(f"{row.key}(?({2 * i + 1})(?!)){_FLAT_VALUE}" for i, row in enumerate(flat))
+    line = re.compile(rf"\{{ *(?:{entries})*\}}(?: +#.*)?").fullmatch
+    return _Record(build, {row.key: row for row in rows}, frozenset(required), line, namespace["decode"])
 
 
 def _items(record: _Record) -> _Row:
@@ -166,7 +230,7 @@ _OUTPUT = _schema(
     _Row("confidence", "confidence", _trust),
     _Row("latencyMs", "latency_ms", _optional_int),
     _Row("completeness", "completeness", _optional_int),
-    make=_output,
+    make=_make_output,
 )
 _VERDICTS = _Row("reflectionVerdicts", "reflection_verdicts", _texts, _Row("", "", _text))
 _VOTE = _Row("vote", "vote", _scalar)
@@ -224,13 +288,6 @@ _SCALAR_CONSTRUCTORS = {
     )
 }
 _CONSTRUCTOR = SafeConstructor()  # scalar constructors read only its constants
-# Resolver.resolve tries the implicit resolvers listed under a plain scalar's
-# first character (PyYAML lists none for any first character); a scalar with
-# none is text.  The table itself, so that a resolver added later counts.
-_RESOLVERS = Resolver.yaml_implicit_resolvers
-# A decimal integer: no other resolver matches it, and int() builds it as
-# the int constructor does.
-_DECIMAL = re.compile("[-+]?(?:0|[1-9][0-9]*)")
 _HAND_OFF = object()  # the document uses YAML outside the reader's subset
 
 # Anything but printable text, tabs and "\n": "\r", NEL, LS and PS (YAML 1.1
@@ -246,12 +303,6 @@ _INDICATORS = frozenset("-?:,[]{}#&*!|>'\"%@`")
 # A quoted scalar that closes on its line; a double-quoted one has no escape.
 _QUOTED = re.compile(r"""'[^']*(?:''[^']*)*'|"[^"\\]*\"""")
 _COMMENT = re.compile(" +#")
-# A plain scalar in a flow collection: no ":", "?", "," or bracket in it and
-# no " #"; it may start with "-" before a non-space.
-_FLOW_PLAIN = (
-    r"""(?:[^ \-?:,\[\]{}#&*!|>'"%@`]|-(?=[^ ,\[\]{}]))"""
-    r"""[^ ,\[\]{}:?]*(?: +[^ ,\[\]{}:?#][^ ,\[\]{}:?]*)*"""
-)
 # One entry of a one-line flow collection with the indicator after it:
 # (plain key, quoted key, plain value, quoted value, indicator); or, where no
 # entry matches, the rest of the line.
@@ -268,19 +319,7 @@ _TABBED = re.compile(
 _HEAD = re.compile(f"(?:- +)*(?:(?:{_QUOTED.pattern}|[^ \t'\"#\\[{{][^\t]*?) *:[ \t]+)?")
 _ITEM, _VALUE, _NEXT = range(3)  # what a one-line flow collection waits for next
 _MAX_DEPTH = 64  # deeper flow collections go to the composing loader
-# A one-line flow mapping of as many pairs as a record has keys at most, each
-# a key in letters and a scalar: (key, decimal integer, other plain scalar,
-# double-quoted text, single-quoted scalar).
-_PAIR = (
-    f"""([A-Za-z]+) *: +(?:({_DECIMAL.pattern})(?= *[,}}])|({_FLOW_PLAIN})"""
-    f"""|"([^"\\\\]*)"|('[^']*(?:''[^']*)*'))"""
-)
-_FLAT = re.compile(
-    f"\\{{ *(?:{_PAIR}"
-    + f"(?: *, *{_PAIR}" * (len(_TASK.rows) - 1)
-    + ")?" * (len(_TASK.rows) - 1)
-    + ")? *\\}(?: +#.*)?"
-)
+_BOTTOM = (-1, None, None, None, None, None)  # the frame below the outermost block collection
 
 
 def _read(text: str):
@@ -301,19 +340,21 @@ def _read(text: str):
     # the value of the last "key:" or "-" goes to parent[slot] and reads
     # under row; pending while it may still open on a later line
     parent, slot, row, pending = holder, 0, _DOCUMENT, True
-    # open block collections, outermost first: (indent, row, value, parent,
-    # slot); a record's value is its fields, built into parent[slot] on close
-    stack = []
-    top = -1  # the indent of the innermost one
+    # the innermost open block collection: (indent, row, value, parent, slot,
+    # the collection it is in); a record's value is its fields, built into
+    # parent[slot] on close
+    frame = _BOTTOM
+    top = -1  # its indent
     done = False  # the document is a scalar or a flow collection
     ends = None  # the value text the last line ends in
     try:
         for line in lines:
             body = line.lstrip(" ")
-            if not body or body[0] == "#" or body[0] == "\t":
+            first = body[:1]
+            if first == "" or first == "#" or first == "\t":
                 # libyaml reads a tab in a line of blanks only in the
                 # blanks after a plain scalar, deeper than the scalar's line
-                if body[:1] == "\t" and not (
+                if first == "\t" and not (
                     ends and ends[0] not in "'\"[{" and " #" not in ends
                     and len(line) - len(body) > indent
                 ):
@@ -327,50 +368,48 @@ def _read(text: str):
                 return _HAND_OFF
             if body[-1] == " ":
                 body = body.rstrip(" ")
-            entry = body[0] == "-" and body[1:2] in " "
-            if pending and (
-                indent > top or (indent == top and entry and type(stack[-1][2]) is dict)
-            ):
+            entry = first == "-" and body[1:2] in " "
+            if pending and (indent > top or (indent == top and entry and type(frame[2]) is dict)):
                 opening = True  # a collection opens in the slot
             else:
                 if pending:
                     parent[slot] = row.kind(None, row, "")
                 opening = False
                 if top > indent:
-                    top = _close(stack, indent)
+                    frame = _close(frame, indent)
+                    top = frame[0]
                 if top != indent:
                     return _HAND_OFF
-                if type(stack[-1][2]) is list:
+                if type(frame[2]) is list:
                     if not entry:
                         # a sequence at its mapping's indent ends at the next key
-                        if len(stack) < 2 or stack[-2][0] != indent:
+                        if frame[5][0] != indent:
                             return _HAND_OFF
-                        stack.pop()
+                        frame = frame[5]
                 elif entry:
                     return _HAND_OFF
             pending = False
-            inline = not stack  # a scalar may stand here
             if entry:
                 if opening:
                     if row.kind is not _records and row.kind is not _texts:
                         return _HAND_OFF
                     top = indent
-                    stack.append((indent, row, [], None, None))
-                    parent[slot] = stack[-1][2]
-                row, items = stack[-1][1:3]
+                    frame = (indent, row, [], None, None, frame)
+                    parent[slot] = frame[2]
+                row, items = frame[1], frame[2]
                 rest = body[1:].lstrip(" ")
-                if rest[:1] == "{" or rest[:1] == "[":  # never a key
+                first = rest[:1]
+                if first == "{" or first == "[":  # never a key
                     items.append(_value(rest, row.item, nodes))
                     continue
                 items.append(None)
                 parent, slot, row = items, len(items) - 1, row.item
-                if not rest or rest[0] == "#":
+                if not rest or first == "#":
                     pending = True
                     continue
                 indent += len(body) - len(rest)  # where a compact mapping opens
                 body = rest
-                opening = inline = True
-            first = body[0]
+                opening = True
             name = plain = None  # the line's key: quoted, or plain as written
             if first == "'" or first == '"':
                 quoted = _QUOTED.match(body)
@@ -381,29 +420,30 @@ def _read(text: str):
                     name = _unquote(quoted.group())
                     value = after[1:].lstrip(" ")
             elif first != "[" and first != "{":
-                colon = body.find(": ")
-                if colon < 0 and body[-1] == ":":
-                    colon = len(body) - 1
-                if colon >= 0:
-                    plain = body[:colon].rstrip(" ")
-                    value = body[colon + 1:].lstrip(" ")
+                if body[-1] == ":" and ": " not in body:  # a key alone
+                    plain, value = body[:-1].rstrip(" "), ""
+                else:
+                    colon = body.find(": ")
+                    if colon >= 0:
+                        plain = body[:colon].rstrip(" ")
+                        value = body[colon + 1:].lstrip(" ")
             if name is None and plain is None:
-                if not inline:
+                if frame is not _BOTTOM and not entry:  # a scalar stands at the top or in an entry
                     return _HAND_OFF
                 parent[slot] = _value(body, row, nodes)
                 ends = body
-                done = not stack
+                done = frame is _BOTTOM
                 continue
             if opening:
-                if row.kind is not _record and row.kind is not _map:
-                    return _HAND_OFF
                 top = indent
                 if row.kind is _record:
-                    stack.append((indent, row, {}, parent, slot))
+                    frame = (indent, row, {}, parent, slot, frame)
+                elif row.kind is _map:
+                    frame = (indent, row, {}, None, None, frame)
+                    parent[slot] = frame[2]
                 else:
-                    stack.append((indent, row, {}, None, None))
-                    parent[slot] = stack[-1][2]
-            open_row, parent = stack[-1][1:3]
+                    return _HAND_OFF
+            open_row, parent = frame[1], frame[2]
             if open_row.kind is _record:
                 row = open_row.item.rows.get(name if plain is None else plain)
                 if row is None:  # not a key of the record, or not in plain text
@@ -423,52 +463,39 @@ def _read(text: str):
                 ends = value
         if pending:
             parent[slot] = row.kind(None, row, "")
-        _close(stack, -1)
+        _close(frame, -1)
     except (ValueError, m.ModelError):  # the value does not fit its row
         return _HAND_OFF
     return holder[0]
 
 
-def _close(stack: list, indent: int) -> int:
-    """Close the block collections deeper than ``indent``, building each
-    record into its place; the indent of the innermost one left, or -1."""
-    while stack and stack[-1][0] > indent:
-        _, row, made, owner, at = stack.pop()
+def _close(frame: tuple, indent: int) -> tuple:
+    """Close ``frame`` and the block collections it is in that are deeper
+    than ``indent``, building each record into its place; the innermost
+    frame left."""
+    while frame[0] > indent:
+        _, row, made, owner, at, frame = frame
         if owner is not None:
             owner[at] = _build(row.item, made)
-    return stack[-1][0] if stack else -1
+    return frame
 
 
 def _value(source: str, row: _Row, nodes: dict):
     """The value of ``row`` that ``source``, the rest of a block line,
-    holds.  One match reads a record from a one-line flow mapping of keys
-    in letters and scalars; any other node is read once per text and kept
-    in ``nodes``.  Raises ValueError where the reader hands off."""
-    match = _FLAT.fullmatch(source) if row.kind is _record else None
-    if match is None:
-        node = nodes.get(source)
-        if node is None:
-            node = nodes[source] = _node(source)
-        if node is _HAND_OFF:
-            raise ValueError("outside the reader's subset")
-        return row.kind(node, row, "")
-    record, made = row.item, {}
-    pairs = iter(match.groups())
-    for key, number, plain, double, single in zip(pairs, pairs, pairs, pairs, pairs):
-        if key is None:
-            break
-        child = record.rows.get(key)
-        if number is not None:
-            value = int(number)
-        elif plain is None:
-            value = double if single is None else _unquote(single)
-        else:
-            value = _resolve(plain) if plain[0] in _RESOLVERS else plain
-        if child is None or child.field in made or value is _HAND_OFF:
-            raise ValueError("an unknown or repeated key, or outside the reader's subset")
-        kind = child.kind
-        made[child.field] = value if kind is _text and type(value) is str else kind(value, child, "")
-    return _build(record, made)
+    holds.  One match reads a record from a one-line flow mapping of its
+    keys that read a scalar, each at most once; any other node is read
+    once per text and kept in ``nodes``.  Raises ValueError where the
+    reader hands off."""
+    if row.kind is _record:
+        match = row.item.line(source)
+        if match is not None:
+            return row.item.decode(*match.groups())
+    node = nodes.get(source)
+    if node is None:
+        node = nodes[source] = _node(source)
+    if node is _HAND_OFF:
+        raise ValueError("outside the reader's subset")
+    return row.kind(node, row, "")
 
 
 def _build(record: _Record, made: dict):
@@ -476,7 +503,7 @@ def _build(record: _Record, made: dict):
     that has no default."""
     if not record.required.issubset(made):
         raise ValueError(f"a {record.build.__name__} lacks a field")
-    return record.build(**made) if record.make is None else record.make(made)
+    return record.build(**made)
 
 
 def _untab(line: str) -> Optional[str]:

@@ -119,6 +119,26 @@ def test_simulate_unreadable_scenario_is_a_usage_error_once_the_model_parses(tmp
     assert capsys.readouterr().err.startswith("E-")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", FIXTURE, "--scenario", SCENARIO, "--trace"],
+        ["render", FIXTURE, "-o"],
+        ["export-xsd", "-o"],
+    ],
+    ids=["simulate", "render", "export-xsd"],
+)
+def test_an_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    # a directory that does not exist, and one that is not a directory
+    target = tmp_path / "plain-file"
+    target.write_text("")
+    for path in (tmp_path / "missing" / "out", target / "out"):
+        assert main([*argv, str(path)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"hagent: cannot write {path}: ")
+        assert err.count("\n") == 1 and not path.exists()
+
+
 def test_simulate_scenario_with_mistagged_value_fails(tmp_path, capsys):
     scenario = tmp_path / "tag.scn.yaml"
     scenario.write_text(

@@ -74,21 +74,41 @@ def test_makers_build_what_the_constructors_build(cls, data):
     assert repr(made) == repr(built)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.fixed_dictionaries(
-        {"label": st.text(max_size=3)},
-        optional={
-            name: _field_values
-            for name in ("payload", "confidence", "latency_ms", "completeness")
-        },
-    )
-)
-def test_the_scenario_reader_makes_what_the_constructor_builds(made):
-    # the reader makes each output from the fields it read
-    output, built = scenario._output(made), sim.CandidateOutput(**made)
-    assert type(output) is sim.CandidateOutput
-    assert (output, hash(output), repr(output)) == (built, hash(built), repr(built))
+# a value each scalar kind of a scenario row reads, written as the reader's
+# one match takes it: decimal, or double-quoted text with no escape
+_ONE_LINE_VALUES = {
+    scenario._text: st.text(st.characters(blacklist_characters='"\\'), max_size=4),
+    scenario._scalar: st.text(st.characters(blacklist_characters='"\\'), max_size=4),
+    scenario._trust: st.integers(0, 100),
+    scenario._int: st.integers(-(10**20), 10**20),
+    scenario._optional_int: st.integers(-(10**20), 10**20),
+}
+_RECORDS = [scenario._OUTPUT, scenario._TASK, scenario._LANE, scenario._SCENARIO]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_RECORDS), st.data())
+def test_the_scenario_decoders_make_what_the_constructors_build(record, data):
+    # each record's generated decoder makes, from the groups of its one
+    # match, what record.build(**fields) builds from the same fields
+    rows = data.draw(st.permutations([r for r in record.rows.values() if r.kind in _ONE_LINE_VALUES]))
+    values = {
+        row: data.draw(_ONE_LINE_VALUES[row.kind], label=row.key)
+        for row in rows
+        if row.field in record.required or data.draw(st.booleans(), label=f"{row.key}?")
+    }
+    text = "{" + ", ".join(
+        f"{row.key}: {value}" if type(value) is int else f'{row.key}: "{value}"'
+        for row, value in values.items()
+    ) + "}"
+    match = record.line(text)
+    assert match is not None, text
+    made = record.decode(*match.groups())
+    built = record.build(**{row.field: row.kind(v, row, "") for row, v in values.items()})
+    assert type(made) is type(built) is record.build
+    assert (made, repr(made)) == (built, repr(built))
+    if record is scenario._OUTPUT:
+        assert hash(made) == hash(built)
 
 
 def test_every_trace_event_and_output_has_a_maker():

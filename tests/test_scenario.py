@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import old_scenario
@@ -193,6 +193,57 @@ def test_reader_reads_tabs_as_libyaml_does(text):
 def test_fixture_and_bench_shaped_scenarios_read_as_before():
     for text in (FIXTURE_SCENARIO, _BENCH_SHAPED):
         assert scenario._read(text) == old_scenario.load_scenario(text)
+
+
+# -- one-line records ----------------------------------------------------------
+
+# values in every form a one-line mapping may hold: plain, plain that resolves
+# to another type, quoted either way, decimal, and out of a key's type or range
+_ONE_LINE_VALUES = st.one_of(
+    st.sampled_from(["yes", "~", "0x1f", "12", "-0", "+7", "017", "1.5", "true", "null",
+                     "101", "-1", "2001-01-01", "=", "<<", "a b", "-x", "x:y", "é"]),
+    st.integers(-3, 103).map(str),
+    st.text("ab-9 ", min_size=1, max_size=4),
+    st.text("ab '\"#,:", max_size=4).map(lambda t: "'" + t.replace("'", "''") + "'"),
+    st.text("ab '#,:\\", max_size=4).map(lambda t: f'"{t}"'),
+)
+_ONE_LINE_KEYS = st.sampled_from(
+    ["label", "payload", "confidence", "latencyMs", "completeness", "vote", "latencyJitterMs",
+     "outputs", "other"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.tuples(_ONE_LINE_KEYS, _ONE_LINE_VALUES), max_size=5),
+    st.sampled_from([", ", ",", " , "]),
+    st.sampled_from(["", ",", ", "]),
+    st.sampled_from(["output", "task"]),
+)
+@example([("label", '"a"'), ("label", "b")], ", ", "", "output")  # a repeated key
+@example([("label", "a"), ("payload", "'b'")], ", ", "", "output")  # single-quoted
+@example([("label", "a"), ("payload", "b")], ", ", ", ", "output")  # a trailing comma
+def test_one_line_records_read_as_the_old_loader_reads_them(entries, separator, trailing, place):
+    record = "{" + separator.join(f"{key}: {value}" for key, value in entries)
+    record += (trailing if entries else "") + "}"
+    if place == "output":
+        _agree(f"tasks:\n  t:\n    outputs:\n      - {record}\n")
+    else:
+        _agree(f"tasks:\n  t: {record}\nlanes:\n  l: {record}\n")
+
+
+def test_output_lines_are_read_by_one_match(monkeypatch):
+    # every output line of the fixture and bench-shaped scenarios is read by
+    # its record's one match, never by the general flow reader
+    flowed = []
+    original = scenario._flow
+    monkeypatch.setattr(scenario, "_flow", lambda text: flowed.append(text) or original(text))
+    for text in (FIXTURE_SCENARIO, _BENCH_SHAPED):
+        outputs = [line.split("- ", 1)[1] for line in text.splitlines() if "- {" in line]
+        assert outputs and all(scenario._OUTPUT.line(output) for output in outputs)
+        assert scenario._read(text) == old_scenario.load_scenario(text)
+        assert flowed and not set(flowed) & set(outputs)
+        flowed.clear()
 
 
 def _schema_keys(record, prefix=""):
