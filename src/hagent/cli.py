@@ -1,8 +1,8 @@
 """Command-line entry point: validate, simulate, render, export-xsd.
 
 Exit codes: 0 success, 1 domain error (validation/simulation failure),
-2 usage error.  Payload goes to stdout (or ``-o``/``--trace``), error
-text to stderr.
+2 usage error.  Payload goes to stdout as UTF-8 (or ``-o``/``--trace``),
+error text to stderr.
 """
 
 from __future__ import annotations
@@ -72,7 +72,14 @@ def _usage_error(message: str) -> int:
 
 def _write_payload(data: bytes, path: Optional[str]):
     if path is None:
-        sys.stdout.write(data.decode("utf-8"))
+        # UTF-8 whatever the locale, after what the text layer holds; a
+        # stream without a byte layer (io.StringIO) takes the text
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(data.decode("utf-8"))
+        else:
+            sys.stdout.flush()
+            buffer.write(data)
     else:
         try:
             with open(path, "wb") as fh:
@@ -102,7 +109,7 @@ def cmd_validate(args) -> int:
         diagnostics += validate_model(result.model)
     text = render_diagnostics(diagnostics)
     if text:
-        print(_colorize(text))
+        _write_payload(f"{_colorize(text)}\n".encode("utf-8"), None)
     has_error = any(d.severity is Severity.ERROR for d in diagnostics)
     if args.strict:
         has_error = has_error or bool(diagnostics)

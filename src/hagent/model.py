@@ -72,9 +72,9 @@ HUMAN = "human"  # distinguished marker for non-agentic lanes in role maps
 class TrustScore:
     """Trustworthiness as an integer percent.
 
-    The range is deliberately not enforced here so that out-of-range
-    values in programmatically built models surface as E-TRUST-RANGE
-    diagnostics; use :func:`mk_trust_score` for checked construction.
+    The range is not enforced here: ``validate_model`` reads a built model
+    back, and the reader reports a value outside 0..100 as E-TRUST-RANGE;
+    use :func:`mk_trust_score` for checked construction.
     """
 
     value: int
@@ -353,10 +353,9 @@ class ProcessModel:
     index: Mapping[str, object] = field(
         default_factory=dict, compare=False, repr=False
     )
-    # True on a model parse_model built: its reader has already held every
-    # text and extension value to what serialize_model writes back, so
-    # validate_model does not test them again.  Not an argument, so a
-    # dataclasses.replace copy, which may hold anything, starts False
+    # True on a model parse_model built, which validate_model need not read
+    # back.  Not an argument, so a dataclasses.replace copy, which may hold
+    # anything, starts False
     parsed: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):

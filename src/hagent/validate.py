@@ -1,18 +1,20 @@
-"""Agentic well-formedness rules over a parsed model.
+"""Agentic well-formedness rules over a model.
 
 Each rule has a stable code; ``validate_model`` is a total function whose
 output order is fixed by (code, element id), so identical models yield
-identical diagnostic lists.
+identical diagnostic lists.  What the XML form can carry is the reader's
+to say: a model built in Python is checked by reading back its XML.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields, is_dataclass
 from itertools import chain
 from typing import Callable, List, NamedTuple
 
 from hagent import model as m
-from hagent.xmlio import Diagnostic, Severity, written_texts
+from hagent.xmlio import Diagnostic, Severity, parse_model, serialize_model, written_texts
 
 
 class Rule(NamedTuple):
@@ -68,54 +70,6 @@ def _check_manager(model):
                 "leader-driven or debate region has no manager-role lane as decider",
             )
         )
-    return out
-
-
-def _check_xor_agentic(model):
-    out = []
-    for node in model.iter_nodes():
-        if (
-            isinstance(node, m.Gateway)
-            and node.agentic is not None
-            and node.kind in (m.GatewayKind.EXCLUSIVE, m.GatewayKind.COMPLEX)
-        ):
-            out.append(
-                _diag(
-                    "E-XOR-AGENTIC",
-                    Severity.ERROR,
-                    node.id,
-                    f"agentic info not allowed on {node.kind.value} gateway",
-                )
-            )
-    return out
-
-
-def _iter_trust_scores(model):
-    for pool in model.pools:
-        for lane in pool.lanes:
-            if lane.agentic and lane.agentic.trust:
-                yield lane.id, lane.agentic.trust
-        for node in pool.nodes:
-            agentic = getattr(node, "agentic", None)
-            if agentic is not None and agentic.trust is not None:
-                yield node.id, agentic.trust
-    for flow in model.message_flows:
-        if flow.agentic is not None and flow.agentic.trust is not None:
-            yield flow.id, flow.agentic.trust
-
-
-def _check_trust_range(model):
-    out = []
-    for elem_id, trust in _iter_trust_scores(model):
-        if not 0 <= trust.value <= 100:
-            out.append(
-                _diag(
-                    "E-TRUST-RANGE",
-                    Severity.ERROR,
-                    elem_id,
-                    f"trust score {trust.value} outside 0..100",
-                )
-            )
     return out
 
 
@@ -281,41 +235,6 @@ def _check_missing_trust(model):
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _check_extension_values(model):
-    # values a built model may hold that serialize_model cannot write in a
-    # form parse_model reads back; in a document parse_model reports them
-    out = []
-
-    def problem(element_id, message):
-        out.append(_diag("E-EXT", Severity.ERROR, element_id, message))
-
-    task, cross = m.Task, m.ReflectionKind.CROSS  # looked up once per model
-    for pool in model.pools:
-        for lane in pool.lanes:
-            if lane.agentic is not None and not lane.agentic.role:
-                problem(lane.id, "agentProfile requires a role")
-        for node in pool.nodes:
-            if not isinstance(node, task) or node.agentic is None:
-                continue
-            info = node.agentic
-            refl = info.reflection
-            if refl is None:
-                if info.trust is None:
-                    problem(node.id, "agentic task has neither reflection nor uncertainty")
-                continue
-            if refl.max_rounds < 1:
-                problem(node.id, f"maxRounds {str(refl.max_rounds)!r} must be a positive integer")
-            if refl.kind is cross and not refl.reviewer_lane_ids:
-                problem(node.id, "cross reflection requires reviewers")
-            for lane_id in refl.reviewer_lane_ids:
-                # the reviewers attribute is a comma-separated, stripped list
-                if not lane_id or lane_id != lane_id.strip() or "," in lane_id:
-                    problem(node.id, f"reviewers cannot hold the lane id {lane_id!r}")
-            if refl.human_lane_id == "":
-                problem(node.id, "an empty human lane id reads back as none")
-    return out
-
-
 def _check_xml_chars(model):
     # one pass over every text the writer puts into the document, joined; a
     # printable text holds none of these characters, and isprintable is
@@ -336,38 +255,9 @@ def _check_xml_chars(model):
     ]
 
 
-def _check_read_back_texts(model):
-    # the reader refuses an empty id (the index holds at most one), strips a
-    # condition, reads an empty one as none, and strips the node ids it reads
-    # from flowNodeRef (str.strip: XML's white space and Unicode's); it
-    # reads a definitions element without an id as a model called
-    # "definitions"
-    out = []
-    if not model.id:
-        out.append(_diag("E-REF", Severity.ERROR, None, "model <definitions> lacks an id"))
-    if "" in model.index:
-        kind = type(model.index[""]).__name__
-        kind = kind[0].lower() + kind[1:]  # a task reads "task <task>", as the reader says
-        out.append(_diag("E-REF", Severity.ERROR, None, f"{kind} <{kind}> lacks an id"))
-    for pool in model.pools:
-        for node in pool.nodes:
-            if node.id != node.id.strip():
-                message = f"id {node.id!r} has white space at an end, which a flowNodeRef loses"
-                out.append(_diag("E-XML", Severity.ERROR, node.id, message))
-        for flow in pool.flows:
-            condition = flow.condition
-            if condition is not None and (not condition or condition != condition.strip()):
-                problem = "is empty" if not condition else "has white space at an end"
-                message = f"condition {condition!r} {problem}, which the reader does not keep"
-                out.append(_diag("E-XML", Severity.ERROR, flow.id, message))
-    return out
-
-
 CATALOG: List[Rule] = [
     Rule("E-PAIR", Severity.ERROR, "diverging agentic gateway has a matching merge", _check_pair),
     Rule("E-MGR", Severity.ERROR, "leader-driven/debate region has a manager decider", _check_manager),
-    Rule("E-XOR-AGENTIC", Severity.ERROR, "no agentic info on exclusive/complex gateways", _check_xor_agentic),
-    Rule("E-TRUST-RANGE", Severity.ERROR, "trust scores within 0..100", _check_trust_range),
     Rule("E-REFL-REF", Severity.ERROR, "reflection reviewer/human lanes resolve correctly", _check_reflection_refs),
     Rule("E-MSG-DIR", Severity.ERROR, "agentic message flows point at agentic pools", _check_message_direction),
     Rule("E-VOTE-ARITY", Severity.ERROR, "voting merges span at least 2 branches", _check_vote_arity),
@@ -376,12 +266,56 @@ CATALOG: List[Rule] = [
 ]
 
 
+def _check_read_back(model):
+    # the reader is the one boundary: the document serialize_model writes
+    # must read back as an equal model.  Its warnings are left out: opaque
+    # fragments, which a model holds on purpose, give W-UNSUPPORTED
+    result = parse_model(serialize_model(model))
+    if result.model is None:
+        return result.errors
+    for element_id, old, new in chain(
+        [(None, model, result.model)],
+        ((key, elem, result.model.index.get(key)) for key, elem in model.index.items()),
+    ):
+        message = _difference(old, new, "")
+        if message is not None:
+            return [_diag("E-XML", Severity.ERROR, element_id, message)]
+    return []
+
+
+def _difference(old, new, path):
+    """The dotted path from ``path`` to the first field in which ``new``
+    differs from ``old``, with both values, descending through records; None
+    if none differs.  A tuple of records is compared by the records' ids:
+    each of them is an element of the index, compared on its own."""
+    if type(old) is type(new) and is_dataclass(old):
+        for f in fields(old):
+            if f.compare:
+                name = f"{path}.{f.name}" if path else f.name
+                message = _difference(getattr(old, f.name), getattr(new, f.name), name)
+                if message is not None:
+                    return message
+        return None
+    old, new = _ids(old), _ids(new)
+    if old == new:
+        return None
+    return f"{path} {old!r} reads back as {new!r}".lstrip()
+
+
+def _ids(value):
+    if isinstance(value, tuple) and value and is_dataclass(value[0]):
+        return tuple(record.id for record in value)
+    return value
+
+
 def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
-    """All rule violations, ``E-REF`` for an empty id, ``E-EXT`` for values
-    the XML form cannot carry and ``E-XML`` for characters XML 1.0 cannot
-    carry or texts the reader would not read back as they are, ordered by
-    (rule code, element id).  The last three are not tested again on a model
-    that ``parse_model`` built (``model.parsed``): its reader held them.
+    """All rule violations, ordered by (rule code, element id).
+
+    A model that ``parse_model`` did not build (``model.parsed`` is false)
+    is also read back: ``E-XML`` for each character XML 1.0 cannot carry,
+    or else the reader's errors on the document ``serialize_model`` writes
+    for it, or else one ``E-XML`` naming the first field that does not read
+    back as it is.  A parsed model is not read back: its reader held it.
 
     Computed once per model, on first use, and shared by every caller, as
     :func:`hagent.model.analyze_regions` is; each call returns a new list.
@@ -396,9 +330,8 @@ def validate_model(model: m.ProcessModel) -> List[Diagnostic]:
 def _diagnose(model: m.ProcessModel) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     if not model.parsed:
-        out += _check_extension_values(model)
-        out += _check_xml_chars(model)
-        out += _check_read_back_texts(model)
+        # a document holding such a character is refused whole, with no element
+        out += _check_xml_chars(model) or _check_read_back(model)
     for rule in CATALOG:
         out.extend(rule.check(model))
     out.sort(key=lambda d: (d.code, d.element_id or ""))

@@ -301,17 +301,68 @@ def test_parser_is_built_once_per_process():
     assert per_call[1:] == [0, 0, 0, 0]
 
 
-def fresh_process(argv):
-    """Exit code, stdout and stderr of the command in a new interpreter."""
+def spawn(argv, **env):
+    """The command run to completion in a new interpreter, with ``env``
+    added to the environment."""
     src = str(Path(hagent.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hagent.cli", *argv],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
         timeout=120,
     )
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    done = spawn(argv)
     return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv, to_file",
+    [
+        (["render", "{bpmn}"], ["-o", "{out}"]),
+        (["simulate", "{bpmn}", "--scenario", "{scn}"], ["--trace", "{out}"]),
+        (["export-xsd"], ["-o", "{out}"]),
+        (["validate", "{broken}"], None),
+    ],
+    ids=["render", "simulate", "export-xsd", "validate"],
+)
+def test_stdout_is_utf_8_whatever_the_locale(argv, to_file, tmp_path):
+    # the model, the scenario and the diagnostic's element id hold an "é",
+    # which an ASCII stdout cannot encode as text
+    bpmn, scn, broken, out = (
+        tmp_path / name for name in ("m.bpmn", "m.scn.yaml", "broken.bpmn", "out")
+    )
+    bpmn.write_text(
+        (FIXTURES / "bug-triage.bpmn").read_text().replace('"Report bug"', '"Report bug é"'),
+        encoding="utf-8",
+    )
+    scn.write_text(
+        (FIXTURES / "bug-triage.scn.yaml").read_text().replace("label: bug-report", "label: bug-réport"),
+        encoding="utf-8",
+    )
+    broken.write_text(
+        (FIXTURES / "broken-no-manager.bpmn").read_text().replace("gw-collab-merge", "gw-collab-mérge"),
+        encoding="utf-8",
+    )
+    paths = {"bpmn": bpmn, "scn": scn, "broken": broken, "out": out}
+    argv = [a.format(**paths) for a in argv]
+    done = spawn(argv, PYTHONIOENCODING="ascii")
+    if to_file is None:
+        expected = spawn(argv, PYTHONIOENCODING="utf-8")
+        assert (done.returncode, expected.stderr) == (EXIT_DOMAIN, b"")
+        expected = expected.stdout
+    else:
+        assert spawn(argv + [a.format(**paths) for a in to_file]).returncode == EXIT_OK
+        assert done.returncode == EXIT_OK
+        expected = out.read_bytes()
+    assert done.stderr == b""
+    assert done.stdout == expected
+    if argv[0] != "export-xsd":
+        assert "é".encode("utf-8") in expected
 
 
 @pytest.mark.parametrize(
