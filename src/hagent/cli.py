@@ -1,8 +1,8 @@
 """Command-line entry point: validate, simulate, render, export-xsd.
 
 Exit codes: 0 success, 1 domain error (validation/simulation failure),
-2 usage error.  Payload goes to stdout as UTF-8 (or ``-o``/``--trace``),
-error text to stderr.
+2 usage error.  Payload goes to stdout (or ``-o``/``--trace``), error text
+to stderr, both as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -65,21 +65,32 @@ def _read(path: str) -> bytes:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 
+def _write_utf_8(stream, data: bytes):
+    """``data`` on ``stream`` as it is, UTF-8 whatever the locale, after
+    what the text layer holds; a stream without a byte layer (io.StringIO)
+    takes the text."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(data.decode("utf-8"))
+    else:
+        stream.flush()
+        buffer.write(data)
+        buffer.flush()
+
+
+def _error(text: str):
+    """One line of error text on stderr."""
+    _write_utf_8(sys.stderr, f"{text}\n".encode("utf-8"))
+
+
 def _usage_error(message: str) -> int:
-    print(f"hagent: {message}", file=sys.stderr)
+    _error(f"hagent: {message}")
     return EXIT_USAGE
 
 
 def _write_payload(data: bytes, path: Optional[str]):
     if path is None:
-        # UTF-8 whatever the locale, after what the text layer holds; a
-        # stream without a byte layer (io.StringIO) takes the text
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:
-            sys.stdout.write(data.decode("utf-8"))
-        else:
-            sys.stdout.flush()
-            buffer.write(data)
+        _write_utf_8(sys.stdout, data)
     else:
         try:
             with open(path, "wb") as fh:
@@ -119,7 +130,7 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     result = parse_model(_read(args.input))
     if result.model is None:
-        print(render_diagnostics(result.errors), file=sys.stderr)
+        _error(render_diagnostics(result.errors))
         return EXIT_DOMAIN
     text = _read(args.scenario)
     try:
@@ -129,13 +140,13 @@ def cmd_simulate(args) -> int:
         try:
             scenario = simulate.load_scenario(text)
         except (ValueError, m.ModelError) as exc:
-            print(f"hagent: bad scenario file: {exc}", file=sys.stderr)
+            _error(f"hagent: bad scenario file: {exc}")
             return EXIT_DOMAIN
         if args.seed is not None:
             scenario.seed = args.seed
         trace = simulate.run_simulation(result.model, scenario)
     except (simulate.SimulationError, m.ModelError) as exc:
-        print(f"hagent: simulation failed: {exc}", file=sys.stderr)
+        _error(f"hagent: simulation failed: {exc}")
         return EXIT_DOMAIN
     _write_payload(simulate.format_trace(trace).encode("utf-8"), args.trace)
     return EXIT_OK
@@ -155,21 +166,21 @@ def _read_hints(path: str) -> dict:
 def cmd_render(args) -> int:
     result = parse_model(_read(args.input))
     if result.model is None:
-        print(render_diagnostics(result.errors), file=sys.stderr)
+        _error(render_diagnostics(result.errors))
         return EXIT_DOMAIN
     errors = [
         d for d in validate_model(result.model) if d.severity is Severity.ERROR
     ]
     if errors:
-        print(render_diagnostics(errors), file=sys.stderr)
+        _error(render_diagnostics(errors))
         return EXIT_DOMAIN
     try:
         svg = render_svg(result.model, _read_hints(args.hints) if args.hints else None)
     except BadLayout as exc:
-        print(f"hagent: bad hints file: {exc}", file=sys.stderr)
+        _error(f"hagent: bad hints file: {exc}")
         return EXIT_DOMAIN
     except MissingLayout as exc:
-        print(f"hagent: {exc}", file=sys.stderr)
+        _error(f"hagent: {exc}")
         return EXIT_DOMAIN
     _write_payload(svg, args.output)
     return EXIT_OK

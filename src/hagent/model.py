@@ -319,11 +319,21 @@ def _maker(cls) -> Callable:
 _MAKERS = {
     cls: _maker(cls)
     for cls in (
-        StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, Lane, Pool,
-        TrustScore, AgentProfile, ReflectionMode, AgenticTaskInfo,
+        StartEvent, EndEvent, Task, SubProcess, Gateway, SequenceFlow, MessageFlow, Lane,
+        Pool, TrustScore, AgentProfile, ReflectionMode, AgenticTaskInfo,
     )
 }
 _make_pool, _make_lane = _MAKERS[Pool], _MAKERS[Lane]
+
+# the node classes the XML writer has an element for, each with its tag (a
+# gateway's is its kind's value and this); a model holds no other node class
+NODE_TAGS = {
+    StartEvent: "startEvent",
+    EndEvent: "endEvent",
+    Task: "task",
+    SubProcess: "subProcess",
+    Gateway: "Gateway",
+}
 
 # every trust score in range, by value: records are immutable, so the
 # readers of models and scenarios share these
@@ -366,13 +376,13 @@ class ProcessModel:
             tuple(sorted(self.message_flows, key=_by_id)),
         )
         object.__setattr__(self, "index", _build_index(self))
-        _check_invariants(self)
+        object.__setattr__(self, "_node_pools", _check_invariants(self))
 
     # -- structural queries -------------------------------------------------
 
     @cached_property
     def _adjacency(self) -> dict:
-        """Node id -> its pool and flows, built on first use."""
+        """Node id -> its flows, built on first use."""
         return _build_adjacency(self)
 
     @cached_property
@@ -386,7 +396,10 @@ class ProcessModel:
             raise DanglingReference(f"no pool contains node {node_id!r}") from None
 
     def pool_of(self, node_id: str) -> Pool:
-        return self._links(node_id).pool
+        try:
+            return self._node_pools[node_id]
+        except KeyError:
+            raise DanglingReference(f"no pool contains node {node_id!r}") from None
 
     def lane_of(self, node_id: str) -> Lane:
         node = self.index[node_id]
@@ -467,7 +480,6 @@ def _build_index(model: ProcessModel) -> dict:
 
 
 class _NodeLinks(NamedTuple):
-    pool: Pool
     outgoing: Tuple[SequenceFlow, ...]  # in flow-id order
     incoming: Tuple[SequenceFlow, ...]
 
@@ -481,22 +493,28 @@ def _build_adjacency(model: ProcessModel) -> dict:
             succ[flow.source_id].append(flow)
             pred[flow.target_id].append(flow)
         for node_id in succ:
-            out[node_id] = _NodeLinks(pool, tuple(succ[node_id]), tuple(pred[node_id]))
+            out[node_id] = _NodeLinks(tuple(succ[node_id]), tuple(pred[node_id]))
     return out
 
 
-def _check_invariants(model: ProcessModel):
+def _check_invariants(model: ProcessModel) -> dict:
+    """Node id -> the pool that holds it, after checking the invariants."""
     index = model.index
-    node_to_pool = {}
+    node_to_pool: dict = {}
     node_to_lane: dict = {}
     for pool in model.pools:
         if not pool.lanes:
             raise InvariantViolation(f"pool {pool.id!r} has no lanes")
         for node in pool.nodes:
-            node_to_pool[node.id] = pool.id
+            if node.__class__ not in NODE_TAGS:
+                raise InvariantViolation(
+                    f"node {node.id!r} is a {node.__class__.__name__}, "
+                    "which has no BPMN element"
+                )
+            node_to_pool[node.id] = pool
         for lane in pool.lanes:
             for node_id in lane.node_ids:
-                if node_id not in node_to_pool or node_to_pool[node_id] != pool.id:
+                if node_to_pool.get(node_id) is not pool:
                     raise DanglingReference(
                         f"lane {lane.id!r} references unknown node {node_id!r}"
                     )
@@ -514,7 +532,7 @@ def _check_invariants(model: ProcessModel):
                 )
         for flow in pool.flows:
             for end in (flow.source_id, flow.target_id):
-                if node_to_pool.get(end) != pool.id:
+                if node_to_pool.get(end) is not pool:
                     raise DanglingReference(
                         f"sequence flow {flow.id!r} endpoint {end!r} "
                         f"not a node of pool {pool.id!r}"
@@ -542,10 +560,11 @@ def _check_invariants(model: ProcessModel):
                 raise DanglingReference(
                     f"message flow {flow.id!r} endpoint {end!r} unknown"
                 )
-        if node_to_pool[flow.source_id] == node_to_pool[flow.target_id]:
+        if node_to_pool[flow.source_id] is node_to_pool[flow.target_id]:
             raise InvariantViolation(
                 f"message flow {flow.id!r} does not cross pool boundaries"
             )
+    return node_to_pool
 
 
 def model_get(model: ProcessModel, elem_id: str):
@@ -649,10 +668,14 @@ def analyze_regions(
 
 def _match_regions(model: ProcessModel) -> dict:
     out = {}
+    diverging = GatewayDirection.DIVERGING
     for pool in model.pools:
+        # construction admits no subclass of Gateway, so this tests isinstance
         gateways = [
             n.id for n in pool.nodes
-            if _is_agentic_gateway(n, GatewayDirection.DIVERGING)
+            if n.__class__ is Gateway
+            and n.agentic is not None
+            and n.agentic.direction is diverging
         ]
         if not gateways:
             continue

@@ -86,15 +86,17 @@ _GROUP = _BPMN + "group"
 _DATA_OBJECT = _BPMN + "dataObject"
 
 # the reader builds its records with their makers (see model._maker)
+_make_pool = m._MAKERS[m.Pool]
 _make_lane = m._MAKERS[m.Lane]
 _make_sequence_flow = m._MAKERS[m.SequenceFlow]
+_make_message_flow = m._MAKERS[m.MessageFlow]
 _make_task = m._MAKERS[m.Task]
 _make_gateway = m._MAKERS[m.Gateway]
 _make_task_info = m._MAKERS[m.AgenticTaskInfo]
 _PLAIN_NODES = {
-    "startEvent": m._MAKERS[m.StartEvent],
-    "endEvent": m._MAKERS[m.EndEvent],
-    "subProcess": m._MAKERS[m.SubProcess],
+    tag: m._MAKERS[cls]
+    for cls, tag in m.NODE_TAGS.items()
+    if cls is not m.Task and cls is not m.Gateway
 }
 _GATEWAY_KINDS = {kind.value + "Gateway": kind for kind in m.GatewayKind}
 # qualified tag -> local name of a process child that has a reader
@@ -357,6 +359,7 @@ _MARKERS = {
 _LANE_EXT = _host("agentProfile")
 _TASK_EXT = _host("reflection", "uncertainty")
 _COLLAB_EXT = _host("collaboration", "merge", "uncertainty")
+_NO_EXTENSIONS = ({}, ())  # of a host without children; never written to
 
 
 class _Parser:
@@ -407,10 +410,13 @@ class _Parser:
 
     # -- extension elements -------------------------------------------------
 
-    def split_extensions(self, elem, element_id):
-        """Return (hagent extension elements, opaque foreign fragments)."""
-        if not len(elem):
-            return (), ()
+    def read_extensions(self, elem, element_id, rows, unexpected, every=False):
+        """The extension block of ``elem`` as (host field -> value of its
+        hagent elements, opaque foreign fragments).  A hagent element whose
+        row is not in ``rows`` is reported with the ``unexpected`` message,
+        which formats its local name.  The fields are None after the first
+        problem, unless ``every``: then every element is decoded, and each
+        problem reported.  Foreign fragments are reported first."""
         hagent, foreign = [], []
         for ext in elem:
             if ext.tag == _EXTENSION_ELEMENTS:
@@ -419,7 +425,18 @@ class _Parser:
                         hagent.append(child)
                     else:
                         self.keep_opaque(child, element_id, foreign)
-        return hagent, tuple(foreign)
+        foreign = tuple(foreign)
+        fields = {}
+        for child in hagent:
+            row = _ROWS.get(child.tag)
+            if row in rows:
+                value = fields[row.field] = self.decode(row, child, element_id)
+            else:
+                self.error("E-EXT", element_id, unexpected.format(_tag(child)))
+                value = None
+            if value is None and not every:
+                return None, foreign
+        return fields, foreign
 
     def decode(self, row, elem, element_id):
         """The value of a hagent element by its row, or None after reporting
@@ -463,29 +480,10 @@ class _Parser:
                 return None
         return value
 
-    def decode_host(self, elems, element_id, rows, host) -> Optional[dict]:
-        """Host field -> value of the hagent elements on a task, gateway or
-        message flow, or None after the first problem."""
-        fields = {}
-        for elem in elems:
-            row = _ROWS.get(elem.tag)
-            if row not in rows:
-                message = f"unexpected <hagent:{_tag(elem)}> on {host}"
-                self.error("E-EXT", element_id, message)
-                return None
-            value = self.decode(row, elem, element_id)
-            if value is None:
-                return None
-            fields[row.field] = value
-        return fields
-
-    def parse_collab_ext(self, elems, element_id, kind=None):
-        """Collaboration/merge extension of a gateway of the given ``kind``,
-        or of a message flow when ``kind`` is None."""
-        host = "message flow" if kind is None else "gateway"
-        fields = self.decode_host(elems, element_id, _COLLAB_EXT, host)
-        if fields is None:
-            return None
+    def parse_collab_ext(self, fields, element_id, kind=None):
+        """The marker of the decoded collaboration/merge extension ``fields``
+        of a gateway of the given ``kind``, or of a message flow when
+        ``kind`` is None; None after reporting a problem."""
         opens = "collaboration" in fields
         if opens == ("merge" in fields):
             if kind is None:
@@ -525,15 +523,9 @@ class _Parser:
                     self.require_id(lane_elem, "lane")
                     continue
                 seen_ids[lane_id] = True
-                hagent, foreign = self.split_extensions(lane_elem, lane_id)
-                profile = None
-                for ext in hagent:
-                    row = _ROWS.get(ext.tag)
-                    if row in _LANE_EXT:
-                        profile = self.decode(row, ext, lane_id)
-                    else:
-                        message = f"unexpected <hagent:{_tag(ext)}> on lane"
-                        self.error("E-EXT", lane_id, message)
+                fields, foreign = self.read_extensions(
+                    lane_elem, lane_id, _LANE_EXT, "unexpected <hagent:{}> on lane", every=True
+                )
                 node_ids = []
                 for ref in lane_elem.findall(_FLOW_NODE_REF):
                     node_id = (ref.text or "").strip()
@@ -542,7 +534,8 @@ class _Parser:
                         node_lane[node_id] = lane_id
                 lanes.append(
                     _make_lane(
-                        lane_id, lane_elem.get("name", ""), tuple(node_ids), profile, foreign
+                        lane_id, lane_elem.get("name", ""), tuple(node_ids),
+                        fields.get("agentic"), foreign,
                     )
                 )
 
@@ -561,9 +554,10 @@ class _Parser:
             seen_ids[elem_id] = True
             if tag == _SEQUENCE_FLOW:
                 condition = None
-                cond_elem = elem.find(_CONDITION_EXPRESSION)
-                if cond_elem is not None:
-                    condition = (cond_elem.text or "").strip() or None
+                if len(elem):
+                    cond_elem = elem.find(_CONDITION_EXPRESSION)
+                    if cond_elem is not None:
+                        condition = (cond_elem.text or "").strip() or None
                 flows.append(
                     _make_sequence_flow(
                         elem_id, elem.get("sourceRef", ""), elem.get("targetRef", ""), condition
@@ -592,16 +586,24 @@ class _Parser:
                         "E-REF", elem_id, f"node {elem_id!r} is in no lane"
                     )
                     continue
-                hagent = foreign = ()
+                fields, foreign = _NO_EXTENSIONS
                 if len(elem):
-                    hagent, foreign = self.split_extensions(elem, elem_id)
+                    if tag == _TASK:
+                        rows, unexpected = _TASK_EXT, "unexpected <hagent:{}> on task"
+                    elif local in _GATEWAY_KINDS:
+                        rows, unexpected = _COLLAB_EXT, "unexpected <hagent:{}> on gateway"
+                    else:
+                        rows, unexpected = (), f"<hagent:{{}}> not allowed on <bpmn:{local}>"
+                    # a plain node takes no hagent element, and each one is reported
+                    fields, foreign = self.read_extensions(
+                        elem, elem_id, rows, unexpected, every=not rows
+                    )
+                    if fields is None:
+                        continue
                 name = elem.get("name", "")
                 if tag == _TASK:
                     agentic = None
-                    if hagent:
-                        fields = self.decode_host(hagent, elem_id, _TASK_EXT, "task")
-                        if fields is None:
-                            continue
+                    if fields:
                         agentic = _make_task_info(
                             fields.get("reflection"), fields.get("trust")
                         )
@@ -609,34 +611,19 @@ class _Parser:
                 elif local in _GATEWAY_KINDS:
                     kind = _GATEWAY_KINDS[local]
                     agentic = None
-                    if hagent:
-                        agentic = self.parse_collab_ext(hagent, elem_id, kind)
+                    if fields:
+                        agentic = self.parse_collab_ext(fields, elem_id, kind)
                         if agentic is None:
                             continue
                     node = _make_gateway(elem_id, lane_id, name, foreign, kind, agentic)
                 else:
                     node = _PLAIN_NODES[local](elem_id, lane_id, name, foreign)
-                    self._reject_ext(hagent, elem_id, local)
                 nodes.append(node)
 
-        return m.Pool(
-            id=pool_id,
-            name=pool_name,
-            lanes=tuple(lanes),
-            nodes=tuple(nodes),
-            flows=tuple(flows),
-            artifacts=tuple(artifacts),
-            multi_instance=multi_instance,
-            opaque_elements=tuple(opaque),
+        return _make_pool(
+            pool_id, pool_name, tuple(lanes), tuple(nodes), tuple(flows),
+            tuple(artifacts), multi_instance, tuple(opaque),
         )
-
-    def _reject_ext(self, hagent, elem_id, tag):
-        for ext in hagent:
-            self.error(
-                "E-EXT",
-                elem_id,
-                f"<hagent:{_tag(ext)}> not allowed on <bpmn:{tag}>",
-            )
 
 
 @contextlib.contextmanager
@@ -707,19 +694,20 @@ def parse_model(document) -> ParseResult:
             flow_id = parser.require_id(flow_elem, "messageFlow")
             if flow_id is None:
                 continue
-            hagent, foreign = parser.split_extensions(flow_elem, flow_id)
+            fields, foreign = parser.read_extensions(
+                flow_elem, flow_id, _COLLAB_EXT, "unexpected <hagent:{}> on message flow"
+            )
+            if fields is None:
+                continue
             agentic = None
-            if hagent:
-                agentic = parser.parse_collab_ext(hagent, flow_id)
+            if fields:
+                agentic = parser.parse_collab_ext(fields, flow_id)
                 if agentic is None:
                     continue
             message_flows.append(
-                m.MessageFlow(
-                    id=flow_id,
-                    source_id=flow_elem.get("sourceRef", ""),
-                    target_id=flow_elem.get("targetRef", ""),
-                    agentic=agentic,
-                    foreign_ext=foreign,
+                _make_message_flow(
+                    flow_id, flow_elem.get("sourceRef", ""), flow_elem.get("targetRef", ""),
+                    agentic, foreign,
                 )
             )
 
@@ -930,18 +918,9 @@ def written_texts(model: m.ProcessModel) -> Iterator[Tuple[str, Iterable, Iterab
 
 def _write_node(lines, node: m.FlowNode):
     """Append the lines of one flow node to ``lines``."""
-    if isinstance(node, m.StartEvent):
-        tag = "startEvent"
-    elif isinstance(node, m.EndEvent):
-        tag = "endEvent"
-    elif isinstance(node, m.Task):
-        tag = "task"
-    elif isinstance(node, m.SubProcess):
-        tag = "subProcess"
-    elif isinstance(node, m.Gateway):
-        tag = node.kind.value + "Gateway"
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node type {type(node)!r}")
+    tag = m.NODE_TAGS[node.__class__]  # a model holds no other node class
+    if node.__class__ is m.Gateway:
+        tag = node.kind.value + tag
     open_tag = f"    <bpmn:{tag} id={quote_attr(node.id)}"
     if node.name:
         open_tag += f" name={quote_attr(node.name)}"

@@ -366,6 +366,37 @@ def test_stdout_is_utf_8_whatever_the_locale(argv, to_file, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["render", "{broken}"], EXIT_DOMAIN, "E-MGR gw-collab-mérge: "),
+        (["simulate", FIXTURE, "--scenario", "{scn}"], EXIT_DOMAIN,
+         "hagent: bad scenario file: tasks.tâche must be a mapping, got 5\n"),
+        (["validate", "{missing}"], EXIT_USAGE, "hagent: cannot read "),
+    ],
+    ids=["diagnostics", "bad-scenario", "usage-error"],
+)
+def test_stderr_is_utf_8_whatever_the_locale(argv, code, text, tmp_path):
+    # the model's id, the scenario's task id and the path hold a non-ASCII
+    # letter, which an ASCII stderr cannot encode as text
+    broken, scn, missing = (
+        tmp_path / name for name in ("broken.bpmn", "m.scn.yaml", "nö-such.bpmn")
+    )
+    broken.write_text(
+        (FIXTURES / "broken-no-manager.bpmn").read_text().replace("gw-collab-merge", "gw-collab-mérge"),
+        encoding="utf-8",
+    )
+    scn.write_text("tasks:\n  tâche: 5\n", encoding="utf-8")
+    argv = [a.format(broken=broken, scn=scn, missing=missing) for a in argv]
+    done = spawn(argv, PYTHONIOENCODING="ascii")
+    expected = spawn(argv, PYTHONIOENCODING="utf-8")
+    assert (done.returncode, done.stdout) == (expected.returncode, expected.stdout) == (code, b"")
+    assert done.stderr == expected.stderr
+    assert done.stderr.startswith(text.encode("utf-8"))
+    if code == EXIT_USAGE:
+        assert str(missing).encode("utf-8") in done.stderr
+
+
+@pytest.mark.parametrize(
     "first, then",
     [
         (["simulate", FIXTURE, "--scenario", "{jitter}", "--seed", "5"],

@@ -13,9 +13,16 @@ from hagent import model as m
 from hagent import scenario
 from hagent import simulate as sim
 from hagent.validate import validate_model
-from hagent.xmlio import parse_model
+from hagent.xmlio import parse_model, serialize_model
 
-from builders import lane, linear_model, one_pool_model, region_model
+from builders import (
+    lane,
+    linear_model,
+    one_pool_model,
+    region_model,
+    replace_node,
+    two_pool_message_model,
+)
 from conftest import FIXTURES, bench_gen
 
 FIXTURE = FIXTURES / "bug-triage.bpmn"
@@ -380,6 +387,57 @@ def test_queries():
     assert model.lane_of("t-1").id == "lane-a"
     assert [f.id for f in model.outgoing("n-start")] == ["f-01"]
     assert [f.id for f in model.incoming("n-end")] == ["f-02"]
+
+
+def _built_message_model():
+    script = {
+        task: sim.ScriptedBehavior(outputs=[sim.CandidateOutput(label=task)])
+        for task in ("t-ask", "t-work", "t-refine", "t-use")
+    }
+    return two_pool_message_model(), sim.ScenarioPolicy(per_task=script)
+
+
+def _delegation_model():
+    case = bench_gen().build_deck("delegation", 7)[0]
+    return parse_model(case.xml).model, sim.load_scenario(case.scenario)
+
+
+@pytest.mark.parametrize("make", [_built_message_model, _delegation_model], ids=["built", "delegation"])
+def test_pool_of_needs_no_flow_adjacency(make):
+    model, scenario = make()
+    assert model.message_flows
+    validate_model(model)  # looks up the pool of each message-flow end
+    assert "_adjacency" not in model.__dict__
+    sim.run_simulation(model, scenario)  # walks the sequence flows
+    assert "_adjacency" in model.__dict__
+    with pytest.raises(m.DanglingReference, match="no pool contains node 'no-such-node'"):
+        model.pool_of("no-such-node")
+    with pytest.raises(m.DanglingReference):
+        model.pool_of(model.pools[0].lanes[0].id)  # a lane is no node
+    answers = {node.id: model.pool_of(node.id) for node in model.iter_nodes()}
+    assert all(node in answers[node.id].nodes for node in model.iter_nodes())
+    for copied in (replace(model), pickle.loads(pickle.dumps(model))):
+        assert {node.id: copied.pool_of(node.id) for node in copied.iter_nodes()} == answers
+        # the copy answers with its own pools
+        own = {id(pool) for pool in copied.pools}
+        assert all(id(copied.pool_of(node_id)) in own for node_id in answers)
+
+
+def test_a_node_class_the_writer_has_no_element_for_is_refused():
+    # validate_model reads a built model back through its XML, which has
+    # no element for a bare FlowNode, nor for a subclass of a node class
+    @m._record
+    class Milestone(m.Task):
+        pass
+
+    with pytest.raises(m.InvariantViolation, match="'t-1' is a FlowNode, which has no BPMN element"):
+        replace_node(linear_model(), "t-1", m.FlowNode("t-1", "lane-a"))
+    with pytest.raises(m.InvariantViolation, match="'t-1' is a Milestone"):
+        replace_node(linear_model(), "t-1", Milestone("t-1", "lane-a"))
+    # a class it has an element for, in the middle of a chain, reads back
+    for cls in (m.Task, m.SubProcess, m.Gateway):
+        model = replace_node(linear_model(), "t-1", cls("t-1", "lane-a"))
+        assert parse_model(serialize_model(model)).model == model
 
 
 # -- region matching ---------------------------------------------------------
