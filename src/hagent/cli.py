@@ -25,11 +25,23 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage, help and error text is UTF-8
+    whatever the locale; its subparsers are of this class too."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            try:
+                _write_utf_8(file or sys.stderr, message.encode("utf-8"))
+            except (AttributeError, OSError):  # as argparse: no stream, or a closed one
+                pass
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built on the first main() call and shared by every later one, so
     # nothing may change it after this returns; main only parses with it
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hagent",
         description="Parse, validate, simulate, and render human-agentic BPMN models.",
     )

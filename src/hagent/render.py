@@ -8,7 +8,6 @@ comparison, and every shape carries ``data-element-id``.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
@@ -60,6 +59,11 @@ LEFT_MARGIN = 40
 TASK_W, TASK_H = 110, 60
 GATE_R = 24  # half-diagonal of the diamond
 EVENT_R = 18
+_FIRST_COLUMN = LEFT_MARGIN + LANE_HEADER  # x of the rank-0 node centres
+
+# width and height of a node that has no layout hint, by class
+_SIZES = {m.Task: (TASK_W, TASK_H), m.SubProcess: (TASK_W, TASK_H), m.Gateway: (2 * GATE_R,) * 2,
+          m.StartEvent: (2 * EVENT_R,) * 2, m.EndEvent: (2 * EVENT_R,) * 2}
 
 _STYLE = """\
     .shape { fill: #ffffff; stroke: #333333; stroke-width: 1.5; }
@@ -83,44 +87,86 @@ _AGENT_GLYPH = """\
     </g>"""
 
 
-def _ranks(pool: m.Pool) -> Dict[str, int]:
-    """Left-to-right rank per node: longest path from the sources."""
-    succ = {n.id: [] for n in pool.nodes}
-    indeg = {n.id: 0 for n in pool.nodes}
-    for flow in pool.flows:
-        succ[flow.source_id].append(flow.target_id)
-        indeg[flow.target_id] += 1
-    rank = {n.id: 0 for n in pool.nodes}
-    # ready nodes leave in id order; a sorted list is already a heap
-    queue = sorted(n for n, d in indeg.items() if d == 0)
-    remaining = dict(indeg)
-    while queue:
-        node = heapq.heappop(queue)
-        for s in succ[node]:
-            rank[s] = max(rank[s], rank[node] + 1)
-            remaining[s] -= 1
-            if remaining[s] == 0:
-                heapq.heappush(queue, s)
-    # nodes on cycles never reach indegree 0; rank them after their
-    # lowest-ranked predecessor deterministically
-    for node in sorted(remaining):
-        if remaining[node] > 0:
-            rank[node] = max(rank[node], 1)
+def _ranks(*pools: m.Pool) -> Dict[str, int]:
+    """Left-to-right rank per node of the pools: the longest path from the
+    sources.  No flow crosses pools, so pools ranked together rank as each
+    alone.
+
+    A node becomes ready once all its predecessors are ranked; the ranks do
+    not depend on the order in which ready nodes are taken, so a list used
+    as a stack serves.  A node on or behind a cycle never becomes ready and
+    gets ``max(1, 1 + the highest rank among its ready predecessors)``."""
+    rank = dict.fromkeys([node.id for pool in pools for node in pool.nodes], 0)
+    waiting = rank.copy()  # predecessors not yet ranked
+    succ: Dict[str, List[str]] = {}
+    for pool in pools:
+        for flow in pool.flows:
+            waiting[flow.target_id] += 1
+            if flow.source_id in succ:
+                succ[flow.source_id].append(flow.target_id)
+            else:
+                succ[flow.source_id] = [flow.target_id]
+    ready = [node for node, count in waiting.items() if not count]
+    while ready:
+        node = ready.pop()
+        if node in succ:
+            next_rank = rank[node] + 1
+            for s in succ[node]:
+                if rank[s] < next_rank:
+                    rank[s] = next_rank
+                waiting[s] -= 1
+                if not waiting[s]:
+                    ready.append(s)
+    for node, count in waiting.items():
+        if count and not rank[node]:
+            rank[node] = 1
     return rank
 
 
-class _Numbers(dict):
-    """Number -> ``format(v, "g")``, its text in the SVG, made once per render.
+# the text of a number in the SVG: format(v, "g"), which "%g" % v equals
+# for every int and float
+_text = "%g".__mod__
 
-    Equal keys share one entry: equal ints and floats, all ``render_svg``
-    writes, read the same, but for zero, never kept (``0.0`` and ``-0.0``
-    read ``0`` and ``-0``)."""
 
-    def __missing__(self, value):
-        text = format(value, "g")
-        if value:
-            self[value] = text
-        return text
+class _Texts(dict):
+    """(centre, size) -> the texts of the coordinates ``self.place`` derives
+    from them, made once per render.  Equal keys share one entry: equal ints
+    and floats read the same, but for zero (``0.0`` and ``-0.0`` read ``0``
+    and ``-0``), so a key holding a zero is never kept."""
+
+    def __init__(self, place):
+        self.place = place
+
+    def __missing__(self, key):
+        texts = tuple(map(_text, self.place(*key)))
+        if key[0] and key[1]:
+            self[key] = texts
+        return texts
+
+
+def _task_columns(cx, w):
+    # left edge, width, agent marker, trust score, centre, where flows enter
+    left = cx - w / 2
+    return left, w, left + 12, cx + w / 2 - 16, cx, left - 2
+
+
+def _task_rows(cy, h):
+    # top edge, height, agent marker and trust score, reflection code,
+    # label, centre
+    top, bottom = cy - h / 2, cy + h / 2
+    return top, h, top + 12, bottom - 4, bottom + 14, cy
+
+
+def _gateway_columns(cx, w):
+    # centre, right and left corners, agent marker, code, where flows enter
+    return cx, cx + GATE_R, cx - GATE_R, cx - GATE_R - 8, cx + GATE_R + 10, cx - w / 2 - 2
+
+
+def _gateway_rows(cy, h):
+    # centre, top and bottom corners, kind glyph, agent marker, trust score,
+    # code, label
+    top, bottom = cy - GATE_R, cy + GATE_R
+    return cy, top, bottom, cy + 4, top + 2, top - 6, bottom + 8, top - 16
 
 
 def _finite_number(value) -> bool:
@@ -159,14 +205,15 @@ def _escape_text(text: str) -> str:
     return text
 
 
-def _use_agent(add, n, x, y):
-    add(f'  <use href="#agent-marker" x="{n[x]}" y="{n[y]}"/>')
+def _use_agent(add, x, y):
+    add(f'  <use href="#agent-marker" x="{x}" y="{y}"/>')
 
 
-def _code_text(add, n, x, y, code, eid):
-    # ``code`` is a fixed letter code and ``eid`` an escaped element id
+def _code_text(add, x, y, code, eid):
+    # ``x`` and ``y`` are texts, ``code`` a fixed letter code and ``eid`` an
+    # escaped element id
     add(
-        f'  <text class="code" x="{n[x]}" y="{n[y]}" '
+        f'  <text class="code" x="{x}" y="{y}" '
         f'data-hagent-code="{code}" data-element-id="{eid}">{code}</text>'
     )
 
@@ -183,198 +230,188 @@ def render_svg(
     if not any(True for _ in model.iter_nodes()):
         raise MissingLayout("model has no flow nodes to lay out")
 
-    # geometry: pools stacked vertically, horizontal lanes inside
-    geom: Dict[str, Tuple[float, float, float, float]] = {}  # id -> x,y,w,h (center)
-    pool_boxes = []
-    lane_boxes = []
+    # element ids are written as they are unless one of them needs escaping
+    ids = "".join(model.index)
+    plain_ids = not any(c in ids for c in '&<>"')
+    columns, rows = _Texts(_task_columns), _Texts(_task_rows)
+    gateway_columns, gateway_rows = _Texts(_gateway_columns), _Texts(_gateway_rows)
+    pools = []  # (pool, top, height)
+    lanes = []  # (lane, top)
+    flows: List[str] = []
+    nodes: List[str] = []
+    add = nodes.append
+    # node id -> (cx, cy, cx text, cy text, text of the x where flows enter)
+    ends: Dict[str, tuple] = {}
+    # pools stacked vertically, horizontal lanes inside; each pool is laid
+    # out and drawn in one pass over its nodes
     y_cursor = 20.0
     max_x = 0.0
+    ranks = _ranks(*model.pools)
     for pool in model.pools:
-        ranks = _ranks(pool)
-        pool_top = y_cursor
+        centre_y = {}  # lane id -> y of its centre line
+        pools.append((pool, y_cursor, len(pool.lanes) * LANE_HEIGHT))
         for lane in pool.lanes:
-            lane_top = y_cursor
-            cy = lane_top + LANE_HEIGHT / 2
-            for node_id in lane.node_ids:
-                node = model.index[node_id]
-                if node_id in layout:
-                    geom[node_id] = layout[node_id]
-                else:
-                    cx = LEFT_MARGIN + LANE_HEADER + ranks[node_id] * RANK_STEP
-                    if isinstance(node, (m.Task, m.SubProcess)):
-                        geom[node_id] = (cx, cy, TASK_W, TASK_H)
-                    elif isinstance(node, m.Gateway):
-                        geom[node_id] = (cx, cy, 2 * GATE_R, 2 * GATE_R)
-                    else:
-                        geom[node_id] = (cx, cy, 2 * EVENT_R, 2 * EVENT_R)
-                max_x = max(max_x, geom[node_id][0] + geom[node_id][2])
-            lane_boxes.append((lane, pool, lane_top))
+            lanes.append((lane, y_cursor))
+            centre_y[lane.id] = y_cursor + LANE_HEIGHT / 2
             y_cursor += LANE_HEIGHT
-        pool_boxes.append((pool, pool_top, y_cursor - pool_top))
         y_cursor += POOL_GAP
-    width = max(max_x + 60, LEFT_MARGIN + LANE_HEADER + 200)
-    height = y_cursor
-
-    # each number as text: n[v] is f"{v:g}"
-    n = _Numbers()
-    body: List[str] = []
-    add = body.append
-    for pool, top, h in pool_boxes:
-        add(
-            f'  <rect class="pool-box" data-element-id="{_escape_attr(pool.id)}" '
-            f'x="{n[LEFT_MARGIN]}" y="{n[top]}" width="{n[width - LEFT_MARGIN - 20]}" '
-            f'height="{n[h]}"/>'
-        )
-        label = pool.name or pool.id
-        if pool.multi_instance:
-            label += " (multi)"
-        add(
-            f'  <text class="label" x="{n[LEFT_MARGIN + 14]}" y="{n[top + h / 2]}" '
-            f'transform="rotate(-90 {n[LEFT_MARGIN + 14]},{n[top + h / 2]})">'
-            f"{_escape_text(label)}</text>"
-        )
-
-    for lane, pool, top in lane_boxes:
-        eid = _escape_attr(lane.id)
-        add(
-            f'  <rect class="lane-box" data-element-id="{eid}" '
-            f'x="{n[LEFT_MARGIN + 28]}" y="{n[top]}" '
-            f'width="{n[width - LEFT_MARGIN - 48]}" height="{n[LANE_HEIGHT]}"/>'
-        )
-        name_x = LEFT_MARGIN + 90
-        name_y = top + 28
-        add(
-            f'  <text class="label" x="{n[name_x]}" y="{n[name_y]}">'
-            f"{_escape_text(lane.name or lane.id)}</text>"
-        )
-        if lane.agentic is not None:
-            # horizontal lane: trust after the name, agent marker right of
-            # that, role letter below the marker
-            trust_x = name_x + 48
-            if lane.agentic.trust is not None:
+        for node in pool.nodes:
+            cls = node.__class__
+            box = layout.get(node.id)
+            if box is None:
+                cx = _FIRST_COLUMN + ranks[node.id] * RANK_STEP
+                cy = centre_y[node.lane_id]
+                w, h = _SIZES[cls]
+            else:
+                cx, cy, w, h = box
+            if cx + w > max_x:
+                max_x = cx + w
+            eid = node.id if plain_ids else _escape_attr(node.id)
+            if cls is m.Task or cls is m.SubProcess:
+                left, w_text, marker_x, trust_x, x, entry = columns[cx, w]
+                top, h_text, marker_y, code_y, label_y, y = rows[cy, h]
                 add(
-                    f'  <text class="trust" x="{n[trust_x]}" y="{n[name_y]}" '
-                    f'data-element-id="{eid}">'
-                    f"{lane.agentic.trust.value}%</text>"
+                    f'  <rect class="shape" data-element-id="{eid}" '
+                    f'x="{left}" y="{top}" width="{w_text}" height="{h_text}" rx="8"/>'
                 )
-            marker_x = trust_x + 30
-            _use_agent(add, n, marker_x, name_y - 4)
-            _code_text(add, n, marker_x, name_y + 16, role_code(lane.agentic.role), eid)
-
-    # sequence flows
-    for pool in model.pools:
+                if cls is m.SubProcess:
+                    add(
+                        f'  <rect class="shape" x="{_text(cx - 6)}" y="{_text(cy + h / 2 - 12)}" '
+                        'width="12" height="8"/>'
+                    )
+                elif node.agentic is not None:
+                    agentic = node.agentic
+                    _use_agent(add, marker_x, marker_y)
+                    if agentic.trust is not None:
+                        add(
+                            f'  <text class="trust" x="{trust_x}" y="{marker_y}" '
+                            f'data-element-id="{eid}">{agentic.trust.value}%</text>'
+                        )
+                    if agentic.reflection is not None:
+                        code = REFLECTION_CODES[agentic.reflection.kind]
+                        _code_text(add, x, code_y, code, eid)
+            elif cls is m.Gateway:
+                x, right, left, marker_x, code_x, entry = gateway_columns[cx, w]
+                y, top, bottom, glyph_y, marker_y, trust_y, code_y, label_y = gateway_rows[cy, h]
+                add(
+                    f'  <polygon class="shape" data-element-id="{eid}" '
+                    f'points="{x},{top} {right},{y} {x},{bottom} {left},{y}"/>'
+                )
+                add(
+                    f'  <text class="label" x="{x}" y="{glyph_y}">'
+                    f"{_GATEWAY_GLYPHS[node.kind.value]}</text>"
+                )
+                agentic = node.agentic
+                if agentic is not None:
+                    _use_agent(add, marker_x, marker_y)
+                    if agentic.trust is not None:
+                        add(
+                            f'  <text class="trust" x="{x}" y="{trust_y}" '
+                            f'data-element-id="{eid}">{agentic.trust.value}%</text>'
+                        )
+                    if agentic.collaboration is not None:
+                        code = COLLABORATION_CODES[agentic.collaboration]
+                    else:
+                        code = MERGE_CODES[agentic.merge]
+                    _code_text(add, code_x, code_y, code, eid)
+            else:  # a start or an end event
+                x, y, entry = _text(cx), _text(cy), _text(cx - w / 2 - 2)
+                end = ' stroke-width="3"' if cls is m.EndEvent else ""
+                add(
+                    f'  <circle class="shape" data-element-id="{eid}" '
+                    f'cx="{x}" cy="{y}" r="{_text(EVENT_R)}"{end}/>'
+                )
+                label_y = _text(cy + h / 2 + 14)
+            if node.name:
+                add(f'  <text class="label" x="{x}" y="{label_y}">{_escape_text(node.name)}</text>')
+            ends[node.id] = (cx, cy, x, y, entry)
+        # both ends of a sequence flow are nodes of its pool
         for flow in pool.flows:
-            x1, y1, _, _ = geom[flow.source_id]
-            x2, y2, w2, _ = geom[flow.target_id]
-            add(
-                f'  <line class="flow" data-element-id="{_escape_attr(flow.id)}" '
-                f'x1="{n[x1]}" y1="{n[y1]}" x2="{n[x2 - w2 / 2 - 2]}" y2="{n[y2]}"/>'
+            x1, y1, x1_text, y1_text, _ = ends[flow.source_id]
+            x2, y2, _, y2_text, entry = ends[flow.target_id]
+            eid = flow.id if plain_ids else _escape_attr(flow.id)
+            flows.append(
+                f'  <line class="flow" data-element-id="{eid}" '
+                f'x1="{x1_text}" y1="{y1_text}" x2="{entry}" y2="{y2_text}"/>'
             )
             if flow.condition is not None:
-                mx, my = (x1 + x2) / 2, (y1 + y2) / 2 - 6
-                add(
-                    f'  <text class="trust" x="{n[mx]}" y="{n[my]}">'
-                    f"{_escape_text(flow.condition)}</text>"
+                mx, my = _text((x1 + x2) / 2), _text((y1 + y2) / 2 - 6)
+                flows.append(
+                    f'  <text class="trust" x="{mx}" y="{my}">{_escape_text(flow.condition)}</text>'
                 )
+    width = max(max_x + 60, _FIRST_COLUMN + 200)
+    height = y_cursor
 
     # message flows (drawn between node centers, dashed)
+    add = flows.append
     for flow in model.message_flows:
-        x1, y1, _, _ = geom[flow.source_id]
-        x2, y2, _, _ = geom[flow.target_id]
-        eid = _escape_attr(flow.id)
+        x1, y1, x1_text, y1_text, _ = ends[flow.source_id]
+        x2, y2, x2_text, y2_text, _ = ends[flow.target_id]
+        eid = flow.id if plain_ids else _escape_attr(flow.id)
         add(
             f'  <line class="msgflow" data-element-id="{eid}" '
-            f'x1="{n[x1]}" y1="{n[y1]}" x2="{n[x2]}" y2="{n[y2]}"/>'
+            f'x1="{x1_text}" y1="{y1_text}" x2="{x2_text}" y2="{y2_text}"/>'
         )
         if flow.agentic is not None:
-            mx, my = (x1 + x2) / 2, (y1 + y2) / 2
+            mx, my = _text((x1 + x2) / 2), (y1 + y2) / 2
             # agent marker above the flow, strategy code below it
-            _use_agent(add, n, mx, my - 18)
+            _use_agent(add, mx, _text(my - 18))
             if flow.agentic.collaboration is not None:
                 code = COLLABORATION_CODES[flow.agentic.collaboration]
             else:
                 code = MERGE_CODES[flow.agentic.merge]
-            _code_text(add, n, mx, my + 20, code, eid)
+            _code_text(add, mx, _text(my + 20), code, eid)
 
-    # nodes
-    for pool in model.pools:
-        for node in pool.nodes:
-            cx, cy, w, h = geom[node.id]
-            eid = _escape_attr(node.id)
-            if isinstance(node, m.StartEvent):
+    # pool and lane boxes span the final width
+    body: List[str] = []
+    add = body.append
+    pool_x, pool_w = _text(LEFT_MARGIN), _text(width - LEFT_MARGIN - 20)
+    label_x = _text(LEFT_MARGIN + 14)
+    for pool, top, h in pools:
+        label = pool.name or pool.id
+        if pool.multi_instance:
+            label += " (multi)"
+        eid = pool.id if plain_ids else _escape_attr(pool.id)
+        label_y = _text(top + h / 2)
+        add(
+            f'  <rect class="pool-box" data-element-id="{eid}" '
+            f'x="{pool_x}" y="{_text(top)}" width="{pool_w}" height="{_text(h)}"/>'
+        )
+        add(
+            f'  <text class="label" x="{label_x}" y="{label_y}" '
+            f'transform="rotate(-90 {label_x},{label_y})">{_escape_text(label)}</text>'
+        )
+    # horizontal lane: name, trust after it, agent marker right of that and
+    # role letter below the marker; a lane's y texts are its own
+    lane_x, lane_h = _text(LEFT_MARGIN + 28), _text(LANE_HEIGHT)
+    lane_w = _text(width - LEFT_MARGIN - 48)
+    name_x, trust_x, marker_x = (_text(LEFT_MARGIN + dx) for dx in (90, 90 + 48, 90 + 48 + 30))
+    for lane, top in lanes:
+        eid = lane.id if plain_ids else _escape_attr(lane.id)
+        name_y = top + 28
+        name_y_text = _text(name_y)
+        add(
+            f'  <rect class="lane-box" data-element-id="{eid}" '
+            f'x="{lane_x}" y="{_text(top)}" width="{lane_w}" height="{lane_h}"/>'
+        )
+        add(
+            f'  <text class="label" x="{name_x}" y="{name_y_text}">'
+            f"{_escape_text(lane.name or lane.id)}</text>"
+        )
+        if lane.agentic is not None:
+            if lane.agentic.trust is not None:
                 add(
-                    f'  <circle class="shape" data-element-id="{eid}" '
-                    f'cx="{n[cx]}" cy="{n[cy]}" r="{n[EVENT_R]}"/>'
+                    f'  <text class="trust" x="{trust_x}" y="{name_y_text}" '
+                    f'data-element-id="{eid}">{lane.agentic.trust.value}%</text>'
                 )
-            elif isinstance(node, m.EndEvent):
-                add(
-                    f'  <circle class="shape" data-element-id="{eid}" '
-                    f'cx="{n[cx]}" cy="{n[cy]}" r="{n[EVENT_R]}" stroke-width="3"/>'
-                )
-            elif isinstance(node, (m.Task, m.SubProcess)):
-                add(
-                    f'  <rect class="shape" data-element-id="{eid}" '
-                    f'x="{n[cx - w / 2]}" y="{n[cy - h / 2]}" width="{n[w]}" '
-                    f'height="{n[h]}" rx="8"/>'
-                )
-                if isinstance(node, m.SubProcess):
-                    add(
-                        f'  <rect class="shape" x="{n[cx - 6]}" y="{n[cy + h / 2 - 12]}" '
-                        'width="12" height="8"/>'
-                    )
-                if isinstance(node, m.Task) and node.agentic is not None:
-                    _use_agent(add, n, cx - w / 2 + 12, cy - h / 2 + 12)
-                    if node.agentic.trust is not None:
-                        add(
-                            f'  <text class="trust" x="{n[cx + w / 2 - 16]}" '
-                            f'y="{n[cy - h / 2 + 12]}" data-element-id="{eid}">'
-                            f"{node.agentic.trust.value}%</text>"
-                        )
-                    if node.agentic.reflection is not None:
-                        code = REFLECTION_CODES[node.agentic.reflection.kind]
-                        _code_text(add, n, cx, cy + h / 2 - 4, code, eid)
-            elif isinstance(node, m.Gateway):
-                pts = (
-                    f"{n[cx]},{n[cy - GATE_R]} {n[cx + GATE_R]},{n[cy]} "
-                    f"{n[cx]},{n[cy + GATE_R]} {n[cx - GATE_R]},{n[cy]}"
-                )
-                add(
-                    f'  <polygon class="shape" data-element-id="{eid}" points="{pts}"/>'
-                )
-                add(
-                    f'  <text class="label" x="{n[cx]}" y="{n[cy + 4]}">'
-                    f"{_GATEWAY_GLYPHS[node.kind.value]}</text>"
-                )
-                if node.agentic is not None:
-                    _use_agent(add, n, cx - GATE_R - 8, cy - GATE_R + 2)
-                    if node.agentic.trust is not None:
-                        add(
-                            f'  <text class="trust" x="{n[cx]}" y="{n[cy - GATE_R - 6]}" '
-                            f'data-element-id="{eid}">{node.agentic.trust.value}%</text>'
-                        )
-                    if node.agentic.collaboration is not None:
-                        code = COLLABORATION_CODES[node.agentic.collaboration]
-                    else:
-                        code = MERGE_CODES[node.agentic.merge]
-                    _code_text(add, n, cx + GATE_R + 10, cy + GATE_R + 8, code, eid)
-            if not isinstance(node, m.Gateway):
-                label_y = cy + h / 2 + 14
-                if node.name:
-                    add(
-                        f'  <text class="label" x="{n[cx]}" y="{n[label_y]}">'
-                        f"{_escape_text(node.name)}</text>"
-                    )
-            elif node.name:
-                add(
-                    f'  <text class="label" x="{n[cx]}" y="{n[cy - GATE_R - 16]}">'
-                    f"{_escape_text(node.name)}</text>"
-                )
+            _use_agent(add, marker_x, _text(name_y - 4))
+            _code_text(add, marker_x, _text(name_y + 16), role_code(lane.agentic.role), eid)
 
     header = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{n[width]}" height="{n[height]}" '
-        f'viewBox="0 0 {n[width]} {n[height]}">',
+        f'width="{_text(width)}" height="{_text(height)}" '
+        f'viewBox="0 0 {_text(width)} {_text(height)}">',
         "  <style>",
         _STYLE,
         "  </style>",
@@ -385,4 +422,4 @@ def render_svg(
         _AGENT_GLYPH,
         "  </defs>",
     ]
-    return ("\n".join(header + body + ["</svg>"]) + "\n").encode("utf-8")
+    return ("\n".join(header + body + flows + nodes + ["</svg>"]) + "\n").encode("utf-8")

@@ -372,8 +372,9 @@ def test_stdout_is_utf_8_whatever_the_locale(argv, to_file, tmp_path):
         (["simulate", FIXTURE, "--scenario", "{scn}"], EXIT_DOMAIN,
          "hagent: bad scenario file: tasks.tâche must be a mapping, got 5\n"),
         (["validate", "{missing}"], EXIT_USAGE, "hagent: cannot read "),
+        (["frobnicé"], EXIT_USAGE, "usage: hagent "),
     ],
-    ids=["diagnostics", "bad-scenario", "usage-error"],
+    ids=["diagnostics", "bad-scenario", "usage-error", "argparse-error"],
 )
 def test_stderr_is_utf_8_whatever_the_locale(argv, code, text, tmp_path):
     # the model's id, the scenario's task id and the path hold a non-ASCII
@@ -392,8 +393,8 @@ def test_stderr_is_utf_8_whatever_the_locale(argv, code, text, tmp_path):
     assert (done.returncode, done.stdout) == (expected.returncode, expected.stdout) == (code, b"")
     assert done.stderr == expected.stderr
     assert done.stderr.startswith(text.encode("utf-8"))
-    if code == EXIT_USAGE:
-        assert str(missing).encode("utf-8") in done.stderr
+    if code == EXIT_USAGE:  # the path or the command, as it was given
+        assert argv[-1].encode("utf-8") in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from builders import (
     replace_node,
     two_pool_message_model,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_gen
 
 VOCABULARY = (
     set(ROLE_CODES.values())
@@ -214,6 +214,41 @@ def test_ranks_are_longest_paths_from_the_sources(pool):
     assert _ranks(pool) == longest_path_ranks(pool)
 
 
+@st.composite
+def random_pools(draw):
+    """A pool whose flows join any two of its nodes: back edges, self-loops
+    and parallel flows allowed, so some nodes lie on or behind a cycle."""
+    ids = [f"n-{i:02d}" for i in range(draw(st.integers(1, 12)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                          max_size=3 * len(ids)))
+    flows = [m.SequenceFlow(f"f-{j:02d}", a, b) for j, (a, b) in enumerate(pairs)]
+    return m.Pool("pool-1", nodes=tuple(m.Task(i, "lane-a") for i in ids), flows=tuple(flows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_pools())
+def test_ranks_on_cycles_are_the_old_ranks(pool):
+    assert _ranks(pool) == old_render._ranks(pool)
+
+
+def test_a_node_that_never_becomes_ready_ranks_after_its_ready_predecessors():
+    # b and c wait for each other, so neither becomes ready: b ranks after
+    # a, its ready predecessor, and c, which has none, ranks 1, left of b
+    flows = [("n-s", "n-a"), ("n-a", "n-b"), ("n-b", "n-c"), ("n-c", "n-b")]
+    pool = m.Pool(
+        "pool-1",
+        nodes=tuple(m.Task(i, "lane-a") for i in ("n-s", "n-a", "n-b", "n-c")),
+        flows=tuple(m.SequenceFlow(f"f-{j}", a, b) for j, (a, b) in enumerate(flows)),
+    )
+    assert _ranks(pool) == {"n-s": 0, "n-a": 1, "n-b": 2, "n-c": 1}
+
+
+def test_pools_ranked_together_rank_as_each_alone():
+    model = two_pool_message_model()
+    together = _ranks(*model.pools)
+    assert together == {k: v for pool in model.pools for k, v in _ranks(pool).items()}
+
+
 class CountedId(str):
     """A node id that counts the order comparisons made with it on the left."""
 
@@ -242,9 +277,9 @@ def parallel_fan(branches):
 
 
 def test_ranking_a_wide_fan_takes_n_log_n_comparisons():
-    # the 4,000 tasks are ready at once; taking the smallest from a heap
-    # costs O(log n) comparisons, re-sorting the ready list after every
-    # node costs O(n), about 8 million in all here
+    # the 4,000 tasks are ready at once; taking them in any order needs no
+    # comparison and a heap O(log n) each, re-sorting the ready list after
+    # every node costs O(n), about 8 million in all here
     pool = parallel_fan(4000).pools[0]
     CountedId.comparisons = 0
     ranks = _ranks(pool)
@@ -384,3 +419,30 @@ def test_render_matches_the_old_renderer_on_the_base_models():
         for layout in (None, hints):
             svg = render_svg(model, layout)
             assert svg == old_render.render_svg(model, layout)
+
+
+# hint boxes for every third node of the deck models: zeros of both signs
+# in the centre and in the size, ints, and floats that are not integral
+_DECK_BOXES = [
+    (-0.0, 0, 110, 60),
+    (0, -0.0, 110, 60),
+    (120.5, 85, 0, 0.0),
+    (120.5, 85, -0.0, -0.0),
+    (999999.5, 1e6, 36.25, 1),
+]
+
+
+@pytest.mark.parametrize("workload", ["region-chain", "delegation", "lint-invalid"])
+def test_render_matches_the_old_renderer_on_deck_models(workload):
+    # the first block of the benchmark's deck at seed 7, every model that
+    # parses, with no hints and with hints on every third node
+    gen = bench_gen()
+    for case in gen.build_deck(workload, 7)[: gen.BLOCK_SIZE[workload]]:
+        model = parse_model(case.xml).model
+        if model is None:
+            continue
+        nodes = list(model.iter_nodes())[::3]
+        hints = {node.id: _DECK_BOXES[i % len(_DECK_BOXES)] for i, node in enumerate(nodes)}
+        floats = {node_id: tuple(map(float, box)) for node_id, box in hints.items()}
+        assert render_svg(model) == old_render.render_svg(model), case.id
+        assert render_svg(model, hints) == old_render.render_svg(model, floats), case.id

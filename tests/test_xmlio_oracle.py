@@ -684,6 +684,104 @@ def test_models_with_raw_text_that_validate_round_trip(model):
     assert render_svg(model).startswith(b"<?xml")
 
 
+# -- models built from records, not read from XML ---------------------------------
+
+def _mostly(common, rare):
+    """``common`` nine times in ten, ``rare`` the tenth."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 0 else common)
+
+
+# a name, a lane reference or a condition may hold a character XML 1.0
+# cannot carry, one time in ten
+_names = _mostly(st.sampled_from(["", "a", "Review é", "x & y"]), _raw_text)
+_region_infos = st.one_of(
+    st.none(),
+    st.builds(
+        m.AgenticRegionInfo,
+        direction=st.just(m.GatewayDirection.DIVERGING),
+        collaboration=st.sampled_from(m.CollaborationMode),
+        trust=_trust,
+    ),
+    st.builds(
+        m.AgenticRegionInfo,
+        direction=st.just(m.GatewayDirection.MERGING),
+        merge=st.sampled_from(m.MergeStrategy),
+        trust=_trust,
+    ),
+)
+
+
+@st.composite
+def built_models(draw):
+    """The arguments of a ``ProcessModel`` built from records: one or two
+    pools of nodes of any class (the bare ``FlowNode`` too), named with
+    texts that may hold characters XML 1.0 cannot carry, with agentic
+    infos, sequence flows in a pool and message flows between pools; now
+    and then an id that is empty or taken, or a lane that misses one of its
+    nodes."""
+    pools, nodes_by_pool = [], []
+    lane_ids = [f"lane-{p}{k}" for p in range(2) for k in range(2)]
+    lane_ref = _mostly(st.sampled_from(lane_ids), _raw_text)
+    for p in range(draw(st.integers(1, 2))):
+        lanes = lane_ids[2 * p: 2 * p + draw(st.integers(1, 2))]
+        nodes = []
+        for i in range(draw(st.integers(1, 5))):
+            cls = draw(st.sampled_from([m.FlowNode, *list(m.NODE_TAGS) * 3]))
+            node_id = draw(st.sampled_from([f"n-{p}{i}"] * 12 + ["n-00", ""]))
+            extra = {}
+            if cls is m.Task:
+                extra["agentic"] = draw(_task_infos(lane_ref))
+            elif cls is m.Gateway:
+                extra = {"kind": draw(st.sampled_from(m.GatewayKind)), "agentic": draw(_region_infos)}
+            nodes.append(cls(node_id, draw(st.sampled_from(lanes)), draw(_names), **extra))
+        # no flow leaves an end event or enters a start event
+        sources = [node.id for node in nodes if node.__class__ is not m.EndEvent]
+        targets = [node.id for node in nodes if node.__class__ is not m.StartEvent]
+        pairs = st.tuples(st.sampled_from(sources), st.sampled_from(targets))
+        flows = [
+            m.SequenceFlow(f"f-{p}{j}", a, b, draw(_mostly(st.sampled_from([None, "x > 1"]), _condition)))
+            for j, (a, b) in enumerate(draw(st.lists(pairs, max_size=4)) if sources and targets else ())
+        ]
+        lanes = [
+            m.Lane(
+                lane_id,
+                draw(_names),
+                tuple(node.id for node in nodes if node.lane_id == lane_id)[draw(st.sampled_from([0] * 9 + [1])):],
+                draw(_profile),
+            )
+            for lane_id in lanes
+        ]
+        pools.append(m.Pool(f"pool-{p}", draw(_names), tuple(lanes), tuple(nodes), tuple(flows)))
+        nodes_by_pool.append(nodes)
+    message_flows = []
+    if len(nodes_by_pool) == 2:
+        ends = [st.sampled_from([node.id for node in nodes]) for nodes in nodes_by_pool]
+        pairs = st.tuples(*ends) | st.tuples(*reversed(ends))
+        message_flows = [
+            m.MessageFlow(f"mf-{j}", a, b, draw(_region_infos))
+            for j, (a, b) in enumerate(draw(st.lists(pairs, max_size=3)))
+        ]
+    model_id = draw(st.sampled_from(["model-1"] * 8 + ["", "m\x01"]))
+    return {"id": model_id, "pools": tuple(pools), "message_flows": tuple(message_flows)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_models())
+def test_built_models_are_refused_or_validated(parts):
+    # construction refuses the model with a ModelError, or validate_model
+    # returns its diagnostics; a model with no error among them reads back
+    # equal
+    try:
+        model = m.ProcessModel(**parts)
+    except m.ModelError:
+        return
+    diagnostics = validate_model(model)
+    assert isinstance(diagnostics, list)
+    if any(d.severity is Severity.ERROR for d in diagnostics):
+        return
+    assert parse_model(serialize_model(model)).model == model
+
+
 @pytest.mark.parametrize(
     "value",
     ["plain-id", "", "it's", 'say "hi"', "a & b", "<x>", "tab\there", "cr\rlf\n",
