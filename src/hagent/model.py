@@ -354,6 +354,18 @@ class CollaborationRegion:
     participant_lane_ids: frozenset
 
 
+class MessageRegion(NamedTuple):
+    """Matched (outgoing, incoming) agentic message-flow pair plus the remote
+    chain: the nodes a walk from the outgoing flow's target visits up to the
+    incoming flow's source, or up to a cycle or a fork, where it stops short
+    with ``stop``, its ``W-MULTIPOOL`` warning."""
+
+    outgoing: MessageFlow
+    incoming: MessageFlow
+    chain: Tuple[str, ...]
+    stop: Optional[str]
+
+
 @dataclass(frozen=True)
 class ProcessModel:
     id: str
@@ -388,6 +400,10 @@ class ProcessModel:
     @cached_property
     def _regions(self) -> dict:
         return _match_regions(self)
+
+    @cached_property
+    def _message_regions(self) -> dict:
+        return _match_message_regions(self)
 
     def _links(self, node_id: str) -> _NodeLinks:
         try:
@@ -746,6 +762,60 @@ def _match_region(model: ProcessModel, ipdom: dict, diverging_id: str) -> Collab
         branches=tuple(branches),
         participant_lane_ids=lanes,
     )
+
+
+def _match_message_regions(model: ProcessModel) -> dict:
+    """Source node id of each agentic outgoing message flow -> (the
+    ``W-MULTIPOOL`` warnings of its flows that open no region, the
+    :class:`MessageRegion` of the first that does or None).  The flows are
+    tried in id order, each paired with the first incoming flow, by id, from
+    its target's pool back to the node's pool; the first pair ends the
+    search, even one that a multi-instance pool ends."""
+    outgoing: dict = {}
+    incoming: dict = {}  # (source pool id, target pool id) -> first flow
+    pools = model._node_pools
+    opens = GatewayDirection.OUTGOING
+    for flow in model.message_flows:
+        if flow.agentic is None:
+            continue
+        if flow.agentic.direction is opens:
+            outgoing.setdefault(flow.source_id, []).append(flow)
+        else:
+            incoming.setdefault((pools[flow.source_id].id, pools[flow.target_id].id), flow)
+    out = {}
+    for node_id, flows in outgoing.items():
+        here, warnings, region = pools[node_id], [], None
+        for flow in flows:
+            remote = pools[flow.target_id]
+            back = incoming.get((remote.id, here.id))
+            if back is None:
+                warnings.append(f"W-MULTIPOOL {flow.id}: no matching incoming merge flow")
+                continue
+            if here.multi_instance or remote.multi_instance:
+                warnings.append(
+                    f"W-MULTIPOOL {flow.id}: multi-instance pool endpoints are not executed"
+                )
+            else:
+                region = _walk_chain(model._adjacency, flow, back)
+            break
+        out[node_id] = (tuple(warnings), region)
+    return out
+
+
+def _walk_chain(adj: dict, flow: MessageFlow, back: MessageFlow) -> MessageRegion:
+    chain: dict = {}  # the nodes visited, in order
+    node_id = flow.target_id
+    stop = "walk cycles"
+    while node_id not in chain:
+        chain[node_id] = None
+        if node_id == back.source_id:
+            return MessageRegion(flow, back, tuple(chain), None)
+        nexts = adj[node_id].outgoing
+        if len(nexts) != 1:
+            stop = "is not a linear chain"
+            break
+        node_id = nexts[0].target_id
+    return MessageRegion(flow, back, tuple(chain), f"W-MULTIPOOL {flow.id}: remote pool {stop}")
 
 
 def region_roles(model: ProcessModel, region: CollaborationRegion) -> dict:

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hagent
 import old_scenario
 from hagent import model as m
 from hagent import scenario
@@ -22,6 +23,7 @@ from builders import (
     linear_model,
     one_pool_model,
     region_model,
+    replace_lane,
     region_scenario_tasks,
     two_pool_message_model,
 )
@@ -272,14 +274,15 @@ def test_trace_is_line_oriented_and_tab_separated():
         assert parts[0].isdigit()
 
 
-def fixture_trace() -> str:
-    model = parse_model((FIXTURES / "bug-triage.bpmn").read_bytes()).model
-    scenario = sim.load_scenario((FIXTURES / "bug-triage.scn.yaml").read_bytes())
+def fixture_trace(name: str) -> str:
+    model = parse_model((FIXTURES / f"{name}.bpmn").read_bytes()).model
+    scenario = sim.load_scenario((FIXTURES / f"{name}.scn.yaml").read_bytes())
     return sim.format_trace(sim.run_simulation(model, scenario))
 
 
-def test_fixture_trace_is_the_checked_in_one():
-    assert fixture_trace().encode() == (FIXTURES / "bug-triage.trace").read_bytes()
+@pytest.mark.parametrize("name", ["bug-triage", "delegation"])
+def test_fixture_trace_is_the_checked_in_one(name):
+    assert fixture_trace(name).encode() == (FIXTURES / f"{name}.trace").read_bytes()
 
 
 # sha256 of "<model id>\n<trace>" over the models of the first block of the
@@ -460,6 +463,20 @@ def test_region_votes_from_task_scripts_override_lane():
     assert any("chosen=alpha" in l for l in lines)
 
 
+def test_region_pick_comes_from_the_merging_lane_first():
+    # the merging gateway's lane is a worker lane here; its pick comes
+    # before the one of the manager lane among the participants
+    model = replace_lane(
+        region_model(hub_role=m.WORKER), "lane-b1", agentic=m.AgentProfile(m.MANAGER)
+    )
+    scenario = region_scenario(
+        **{"lane-hub": sim.LaneScript(manager_pick="beta"), "lane-b1": sim.LaneScript(manager_pick="alpha")}
+    )
+    assert [l for l in run_lines(model, scenario) if "MergeDecision" in l] == [
+        "10\tMergeDecision\tgw-mrg\tstrategy=role.leaderDriven chosen=beta rationale=leader pick 'beta'"
+    ]
+
+
 def test_region_competition_fastest():
     model = region_model(
         collab=m.CollaborationMode.COMPETITION,
@@ -505,6 +522,36 @@ def test_inclusive_region_no_active_branch():
     )
     with pytest.raises(sim.NoActiveBranch):
         sim.run_simulation(model, region_scenario())
+
+
+@pytest.mark.parametrize(
+    "model, lane_scripts",
+    [
+        (region_model(), {"lane-hub": sim.LaneScript(manager_pick="beta")}),
+        (
+            region_model(
+                collab=m.CollaborationMode.COMPETITION,
+                merge=m.MergeStrategy.COMPETITION_FASTEST,
+                branch_count=3,
+                gateway_kind=m.GatewayKind.INCLUSIVE,
+                entry_conditions=('label == "seed"', 'label == "other"', None),
+            ),
+            {},
+        ),
+    ],
+    ids=["leader-driven", "inclusive"],
+)
+def test_public_execute_region_runs_the_region_as_a_run_does(model, lane_scripts):
+    scenario = region_scenario(**lane_scripts)
+    events = sim.run_simulation(model, scenario).events
+    kinds = [e.kind for e in events]
+    start, end = kinds.index("RegionOpen"), kinds.index("MergeDecision")
+    seed = next(e.output for e in events if e.kind == "TaskDone" and e.element_id == "t-seed")
+    region = m.analyze_regions(model)["gw-div"]
+    winner, region_events = hagent.execute_region(model, region, scenario, seed)
+    assert region_events == events[start : end + 1]
+    candidates = events[end - 1].candidates
+    assert winner in candidates and winner.label == events[end].chosen_label
 
 
 def test_parallel_join_without_agentic_info_counts_tokens():
@@ -561,6 +608,310 @@ def test_message_region_multi_instance_pool_warns():
     text = sim.format_trace(trace)
     assert "#\twarning\tW-MULTIPOOL" in text
 
+
+
+# -- message-flow regions, pinned --------------------------------------------
+# Every trace text below was recorded before message-flow regions were
+# matched in the model, and pins the behaviour the simulator had then.
+
+
+def _outgoing(flow_id, source, target, mode=m.CollaborationMode.COMPETITION):
+    info = m.AgenticRegionInfo(m.MessageFlowDirection.OUTGOING, collaboration=mode)
+    return m.MessageFlow(flow_id, source, target, agentic=info)
+
+
+def _incoming(flow_id, source, target, strategy=m.MergeStrategy.COMPETITION_FASTEST, trust=None):
+    info = m.AgenticRegionInfo(
+        m.MessageFlowDirection.INCOMING, merge=strategy, trust=None if trust is None else m.TrustScore(trust)
+    )
+    return m.MessageFlow(flow_id, source, target, agentic=info)
+
+
+# pool A's sequence flows: t-ask goes on to t-use, or only hands its token
+# over to the region
+ASK_THEN_USE = (("n-start", "t-ask"), ("t-ask", "t-use"), ("t-use", "n-end"))
+HANDED_OFF = (("n-start", "t-ask"), ("t-use", "n-end"))
+
+
+def delegation_model(
+    message_flows,
+    remote_nodes=("t-work", "t-refine"),
+    remote_flows=(("t-work", "t-refine"),),
+    here_flows=ASK_THEN_USE,
+    here_role=None,
+):
+    """Pool A (n-start, t-ask, t-use, n-end) and pool B (``remote_nodes`` in
+    a worker lane beside an empty manager lane; a ``t-`` id is a task, any
+    other a subprocess), joined by ``message_flows``.  A sequence flow is
+    (source, target) or (source, target, condition); a ``gw-`` id in
+    ``here_flows`` is an exclusive gateway of pool A."""
+
+    def flows(rows, prefix):
+        return tuple(m.SequenceFlow(f"{prefix}{i:02d}", *row) for i, row in enumerate(rows))
+
+    gateways = sorted({end for row in here_flows for end in row[:2] if end.startswith("gw-")})
+    pool_a = m.Pool(
+        id="pool-a",
+        lanes=(lane("lane-req", ["n-start", "t-ask", "t-use", "n-end", *gateways], role=here_role),),
+        nodes=(
+            m.StartEvent("n-start", "lane-req"),
+            m.Task("t-ask", "lane-req", "Ask"),
+            m.Task("t-use", "lane-req", "Use"),
+            m.EndEvent("n-end", "lane-req"),
+            *(m.Gateway(g, "lane-req") for g in gateways),
+        ),
+        flows=flows(here_flows, "f-a"),
+    )
+    pool_b = m.Pool(
+        id="pool-b",
+        lanes=(
+            lane("lane-lead", [], role=m.MANAGER, trust_value=80),
+            lane("lane-remote", remote_nodes, role=m.WORKER, trust_value=75),
+        ),
+        nodes=tuple(
+            (m.Task if n.startswith("t-") else m.SubProcess)(n, "lane-remote") for n in remote_nodes
+        ),
+        flows=flows(remote_flows, "f-b"),
+    )
+    return m.ProcessModel(id="model-msg", pools=(pool_a, pool_b), message_flows=tuple(message_flows))
+
+
+def delegation_scenario(**lane_scripts):
+    """One output per task, with rising latencies, and ``lane_scripts``."""
+    labels = {"t-ask": "request", "t-work": "draft", "t-refine": "polished", "t-use": "done"}
+    return sim.ScenarioPolicy(
+        per_task={
+            task: sim.ScriptedBehavior(outputs=[out(label, 70, 10 * i)])
+            for i, (task, label) in enumerate(labels.items())
+        },
+        per_lane={lane_id.replace("_", "-"): script for lane_id, script in lane_scripts.items()},
+    )
+
+
+def region_pair(mode=m.CollaborationMode.COMPETITION, strategy=m.MergeStrategy.COMPETITION_FASTEST, trust=None):
+    return (
+        _outgoing("mf-out", "t-ask", "t-work", mode),
+        _incoming("mf-in", "t-refine", "t-use", strategy, trust),
+    )
+
+
+def test_message_region_unmatched_flow_warns_and_moves_on():
+    model = delegation_model([_outgoing("mf-out", "t-ask", "t-work")])
+    assert run_lines(model, delegation_scenario()) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tTokenEnter\tt-use",
+        "4\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "5\tTokenEnd\tn-end",
+        "#\twarning\tW-MULTIPOOL mf-out: no matching incoming merge flow",
+    ]
+
+
+def test_message_region_cycle_warns_after_the_walked_nodes():
+    # the incoming flow leaves a node the walk never reaches
+    model = delegation_model(
+        [_outgoing("mf-out", "t-ask", "t-work"), _incoming("mf-in", "t-last", "t-use")],
+        remote_nodes=("t-work", "t-refine", "t-last"),
+        remote_flows=(("t-work", "t-refine"), ("t-refine", "t-work")),
+    )
+    assert run_lines(model, delegation_scenario()) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=competition",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-refine",
+        "7\tTaskDone\tt-refine\tlabel=polished lane=lane-remote confidence=70 latencyMs=20 trust=70",
+        "8\tTokenEnter\tt-use",
+        "9\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "10\tTokenEnd\tn-end",
+        "#\twarning\tW-MULTIPOOL mf-out: remote pool walk cycles",
+    ]
+
+
+def test_message_region_fork_warns_after_the_walked_nodes():
+    model = delegation_model(
+        [_outgoing("mf-out", "t-ask", "t-work"), _incoming("mf-in", "t-last", "t-use")],
+        remote_nodes=("t-work", "t-refine", "t-last"),
+        remote_flows=(("t-work", "t-refine"), ("t-work", "t-last")),
+    )
+    assert run_lines(model, delegation_scenario()) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=competition",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-use",
+        "7\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "8\tTokenEnd\tn-end",
+        "#\twarning\tW-MULTIPOOL mf-out: remote pool is not a linear chain",
+    ]
+
+
+def test_message_region_warns_each_time_a_token_reaches_the_node():
+    model = delegation_model(
+        [_outgoing("mf-out", "t-ask", "t-work")],
+        here_flows=(
+            ("n-start", "t-ask"),
+            ("t-ask", "t-use"),
+            ("t-use", "gw-loop"),
+            ("gw-loop", "t-ask", 'label == "again"'),
+            ("gw-loop", "n-end"),
+        ),
+    )
+    scenario = delegation_scenario()
+    scenario.per_task["t-use"] = sim.ScriptedBehavior(outputs=[out("again"), out("done")])
+    assert run_lines(model, scenario) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tTokenEnter\tt-use",
+        "4\tTaskDone\tt-use\tlabel=again lane=lane-req trust=100",
+        "5\tTokenEnter\tgw-loop",
+        "6\tTokenEnter\tt-ask",
+        "7\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "8\tTokenEnter\tt-use",
+        "9\tTaskDone\tt-use\tlabel=done lane=lane-req trust=100",
+        "10\tTokenEnter\tgw-loop",
+        "11\tTokenEnd\tn-end",
+        "#\twarning\tW-MULTIPOOL mf-out: no matching incoming merge flow",
+        "#\twarning\tW-MULTIPOOL mf-out: no matching incoming merge flow",
+    ]
+
+
+def test_message_region_chain_without_a_task_fails():
+    model = delegation_model(
+        [_outgoing("mf-out", "t-ask", "s-work"), _incoming("mf-in", "s-done", "t-use")],
+        remote_nodes=("s-work", "s-done"),
+        remote_flows=(("s-work", "s-done"),),
+    )
+    message = "no scripted behavior for 'mf-out': remote chain contains no task"
+    with pytest.raises(sim.MissingBehavior, match=f"^{re.escape(message)}$"):
+        sim.run_simulation(model, delegation_scenario())
+
+
+def test_message_region_incoming_flow_may_end_the_token():
+    model = delegation_model(
+        [_outgoing("mf-out", "t-ask", "t-work"), _incoming("mf-in", "t-refine", "n-end")]
+    )
+    assert run_lines(model, delegation_scenario()) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=competition",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-refine",
+        "7\tTaskDone\tt-refine\tlabel=polished lane=lane-remote confidence=70 latencyMs=20 trust=70",
+        "8\tCandidateSet\tmf-in\tsize=1 labels=polished",
+        "9\tMergeDecision\tmf-in\tstrategy=competition.fastest chosen=polished rationale=fastest at 20ms",
+        "10\tTokenEnd\tn-end",
+        "11\tTokenEnter\tt-use",
+        "12\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "13\tTokenEnd\tn-end",
+    ]
+
+
+def test_message_region_source_without_sequence_flow_hands_its_token_over():
+    model = delegation_model(region_pair(), here_flows=HANDED_OFF)
+    assert run_lines(model, delegation_scenario()) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=competition",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-refine",
+        "7\tTaskDone\tt-refine\tlabel=polished lane=lane-remote confidence=70 latencyMs=20 trust=70",
+        "8\tCandidateSet\tmf-in\tsize=1 labels=polished",
+        "9\tMergeDecision\tmf-in\tstrategy=competition.fastest chosen=polished rationale=fastest at 20ms",
+        "10\tTokenEnter\tt-use",
+        "11\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "12\tTokenEnd\tn-end",
+    ]
+
+
+def test_message_region_debate_has_no_revision_round():
+    model = delegation_model(
+        region_pair(m.CollaborationMode.DEBATE, m.MergeStrategy.VOTING_MAJORITY), here_flows=HANDED_OFF
+    )
+    scenario = delegation_scenario(lane_remote=sim.LaneScript(vote="polished2"))
+    scenario.per_task["t-refine"].outputs.append(out("polished2", 95))
+    assert run_lines(model, scenario) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=debate",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-refine",
+        "7\tTaskDone\tt-refine\tlabel=polished lane=lane-remote confidence=70 latencyMs=20 trust=70",
+        "8\tCandidateSet\tmf-in\tsize=1 labels=polished",
+        "9\tMergeDecision\tmf-in\tstrategy=voting.majority chosen=polished rationale=no votes for any candidate; tie-break applied",
+        "10\tTokenEnter\tt-use",
+        "11\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "12\tTokenEnd\tn-end",
+    ]
+
+
+def test_message_region_counts_remote_lane_votes_only():
+    # the remote task's own vote and pool A's lane vote are not counted
+    model = delegation_model(
+        region_pair(m.CollaborationMode.VOTING, m.MergeStrategy.VOTING_MAJORITY, trust=60),
+        here_flows=HANDED_OFF,
+    )
+    scenario = delegation_scenario(
+        lane_lead=sim.LaneScript(vote="polished"),
+        lane_remote=sim.LaneScript(vote="polished"),
+        lane_req=sim.LaneScript(vote="other"),
+    )
+    scenario.per_task["t-refine"].vote = "other"
+    assert run_lines(model, scenario) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=voting",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-refine",
+        "7\tTaskDone\tt-refine\tlabel=polished lane=lane-remote confidence=70 latencyMs=20 trust=70",
+        "8\tCandidateSet\tmf-in\tsize=1 labels=polished",
+        "9\tMergeDecision\tmf-in\tstrategy=voting.majority chosen=polished rationale=2/2 votes for 'polished' [message trust=60]",
+        "10\tTokenEnter\tt-use",
+        "11\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "12\tTokenEnd\tn-end",
+    ]
+
+
+def test_message_region_pick_comes_from_the_requesting_pool_first():
+    # a worker lane of pool A picks before pool B's manager lane
+    model = delegation_model(
+        region_pair(m.CollaborationMode.ROLE, m.MergeStrategy.ROLE_LEADER_DRIVEN),
+        here_flows=HANDED_OFF,
+        here_role=m.WORKER,
+    )
+    scenario = delegation_scenario(
+        lane_lead=sim.LaneScript(manager_pick="draft"),
+        lane_req=sim.LaneScript(manager_pick="polished"),
+    )
+    assert run_lines(model, scenario) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-ask",
+        "2\tTaskDone\tt-ask\tlabel=request lane=lane-req confidence=70 latencyMs=0 trust=70",
+        "3\tRegionOpen\tmf-out\tmode=role",
+        "4\tTokenEnter\tt-work",
+        "5\tTaskDone\tt-work\tlabel=draft lane=lane-remote confidence=70 latencyMs=10 trust=70",
+        "6\tTokenEnter\tt-refine",
+        "7\tTaskDone\tt-refine\tlabel=polished lane=lane-remote confidence=70 latencyMs=20 trust=70",
+        "8\tCandidateSet\tmf-in\tsize=1 labels=polished",
+        "9\tMergeDecision\tmf-in\tstrategy=role.leaderDriven chosen=polished rationale=leader pick 'polished'",
+        "10\tTokenEnter\tt-use",
+        "11\tTaskDone\tt-use\tlabel=done lane=lane-req confidence=70 latencyMs=30 trust=70",
+        "12\tTokenEnd\tn-end",
+    ]
 
 # -- determinism -------------------------------------------------------------
 
