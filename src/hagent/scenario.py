@@ -1,9 +1,11 @@
 """Scenario files: the scripted agent and human behaviour a simulation plays.
 
-``_SCENARIO`` describes a scenario document once, key by key.  ``_read``
-fills the policy records from the text under it in one pass; a document it
-hands off is composed by PyYAML and converts through the same rows, which
-raise the errors :func:`load_scenario` documents.
+``_SCENARIO`` describes a scenario document once, key by key.  A scenario
+is what those rows make of ``yaml.safe_load(text)``, on every install.
+``_read`` is a faster way to the same policy for a subset of YAML: it fills
+the policy records from the text under the rows in one pass, and hands any
+other document to ``yaml.safe_load``, whose value converts through the
+same rows, which raise the errors :func:`load_scenario` documents.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 import yaml
-from yaml.composer import Composer
 from yaml.constructor import SafeConstructor
 from yaml.resolver import Resolver
 
@@ -255,28 +256,6 @@ _DOCUMENT = _items(_SCENARIO)
 
 # -- reading ------------------------------------------------------------------
 
-if yaml.__with_libyaml__:
-    from yaml.cyaml import CParser
-
-    class _ScenarioLoader(Composer, CParser, SafeConstructor, Resolver):
-        """libyaml scans and parses; the rest is ``yaml.safe_load``'s Python.
-
-        The Python composer comes before ``CParser`` so that its methods
-        win: libyaml's composer recurses on the C stack and crashes the
-        interpreter on deep nesting, where the Python one raises
-        ``RecursionError``.  The constructor and resolver are the ones
-        ``safe_load`` uses, so the values are the same.
-        """
-
-        def __init__(self, stream):
-            CParser.__init__(self, stream)
-            Composer.__init__(self)
-            SafeConstructor.__init__(self)
-            Resolver.__init__(self)
-
-else:
-    _ScenarioLoader = yaml.SafeLoader
-
 # YAML caps a simple key at 1,024 characters; a key on a line no longer than
 # this is within the cap.
 _MAX_LINE = 1024
@@ -290,13 +269,13 @@ _SCALAR_CONSTRUCTORS = {
 _CONSTRUCTOR = SafeConstructor()  # scalar constructors read only its constants
 _HAND_OFF = object()  # the document uses YAML outside the reader's subset
 
-# Anything but printable text, tabs and "\n": "\r", NEL, LS and PS (YAML 1.1
+# Anything but printable text and "\n": a tab, "\r", NEL, LS and PS (YAML 1.1
 # breaks lines at all four), control characters and a byte-order mark; and
 # the characters an ASCII text may hold.
 _OUTSIDE = re.compile(
-    "[^\t\n\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010ffff]"
+    "[^\n\x20-\x7e\xa0-\u2027\u202a-\ud7ff\ue000-\ufefe\uff00-\ufffd\U00010000-\U0010ffff]"
 )
-_ASCII = bytes([9, 10, *range(0x20, 0x7F)])
+_ASCII = bytes([10, *range(0x20, 0x7F)])
 # Characters that may not start a plain scalar; "-", "?" and ":" may, before
 # a non-space (in block context, which is where _plain reads).
 _INDICATORS = frozenset("-?:,[]{}#&*!|>'\"%@`")
@@ -311,12 +290,6 @@ _FLOW_ENTRY = re.compile(
     f"(?:({_FLOW_PLAIN})|({_QUOTED.pattern}))? *"
     r"([\[\]{},])|(.+)"
 )
-# A quoted scalar where one may start, a comment, or a run of blanks with a
-# tab in it; and a block line's entries and key, up to where its value starts.
-_TABBED = re.compile(
-    f"((?<![^ \t\\[{{,])(?:{_QUOTED.pattern}))|(?<=[ \t])#.*|[ \t]*\t[ \t]*"
-)
-_HEAD = re.compile(f"(?:- +)*(?:(?:{_QUOTED.pattern}|[^ \t'\"#\\[{{][^\t]*?) *:[ \t]+)?")
 _ITEM, _VALUE, _NEXT = range(3)  # what a one-line flow collection waits for next
 _MAX_DEPTH = 64  # deeper flow collections go to the composing loader
 _BOTTOM = (-1, None, None, None, None, None)  # the frame below the outermost block collection
@@ -331,9 +304,7 @@ def _read(text: str):
     if text.encode().translate(None, _ASCII) if text.isascii() else _OUTSIDE.search(text):
         return _HAND_OFF
     lines = text.split("\n")
-    if "\t" in text:
-        lines = [_untab(line) for line in lines]
-    if None in lines or max(map(len, lines)) > _MAX_LINE:
+    if max(map(len, lines)) > _MAX_LINE:
         return _HAND_OFF
     nodes = {}  # value text -> its node: scenarios repeat values
     holder = [None]
@@ -346,23 +317,12 @@ def _read(text: str):
     frame = _BOTTOM
     top = -1  # its indent
     done = False  # the document is a scalar or a flow collection
-    ends = None  # the value text the last line ends in
     try:
         for line in lines:
             body = line.lstrip(" ")
             first = body[:1]
-            if first == "" or first == "#" or first == "\t":
-                # libyaml reads a tab in a line of blanks only in the
-                # blanks after a plain scalar, deeper than the scalar's line
-                if first == "\t" and not (
-                    ends and ends[0] not in "'\"[{" and " #" not in ends
-                    and len(line) - len(body) > indent
-                ):
-                    return _HAND_OFF
-                if "#" in body:  # a comment ends the scalar
-                    ends = None
+            if first == "" or first == "#":
                 continue
-            ends = None
             indent = len(line) - len(body)
             if done or (indent == 0 and body[:3] in ("---", "...")):
                 return _HAND_OFF
@@ -431,7 +391,6 @@ def _read(text: str):
                 if frame is not _BOTTOM and not entry:  # a scalar stands at the top or in an entry
                     return _HAND_OFF
                 parent[slot] = _value(body, row, nodes)
-                ends = body
                 done = frame is _BOTTOM
                 continue
             if opening:
@@ -460,7 +419,6 @@ def _read(text: str):
                 pending = True
             else:
                 parent[slot] = _value(value, row, nodes)
-                ends = value
         if pending:
             parent[slot] = row.kind(None, row, "")
         _close(frame, -1)
@@ -504,34 +462,6 @@ def _build(record: _Record, made: dict):
     if not record.required.issubset(made):
         raise ValueError(f"a {record.build.__name__} lacks a field")
     return record.build(**made)
-
-
-def _untab(line: str) -> Optional[str]:
-    """``line`` with its tabs made spaces where libyaml reads them as white
-    space: in a run of blanks that ends the line or a comment, follows a
-    ":", or in a flow collection that is the line's value follows "[{," or
-    comes before "]},".  None where another tab stands outside a comment; a
-    line of blanks with a tab in it is left for ``_read`` to judge."""
-    body = line.lstrip(" ")
-    if "\t" not in body or body[0] == "#":
-        return line
-    if body[0] == "\t":
-        return line if body.lstrip(" \t")[:1] in ("", "#") else None
-    value = _HEAD.match(body).end()
-    flow = body[value:value + 1] in ("[", "{")
-    for match in _TABBED.finditer(body):
-        start, end = match.span()
-        if match.group(1):  # a tab in a quoted scalar is text, which the loader reads
-            if "\t" in match.group(1):
-                return None
-        elif body[start] != "#" and not (
-            end == len(body)
-            or body[end] == "#"
-            or body[start - 1] == ":"
-            or (flow and (body[start - 1] in "[{," or body[end] in "]},"))
-        ):
-            return None
-    return line.replace("\t", " ")
 
 
 def _node(text: str):
@@ -657,7 +587,10 @@ def _resolve(text: str):
 
 
 def load_scenario(text) -> ScenarioPolicy:
-    """Load a scenario from YAML text or bytes.
+    """Load a scenario from YAML text or bytes: the policy the schema makes
+    of ``yaml.safe_load(text)``, whether or not PyYAML ships libyaml.  A
+    document outside the line reader's subset (any tab among them) is
+    loaded by ``yaml.safe_load`` itself.
 
     Raises ``ValueError`` when the text is not UTF-8 or not valid YAML,
     nests too deeply, or holds a tagged value that does not fit its tag
@@ -673,7 +606,7 @@ def load_scenario(text) -> ScenarioPolicy:
     if policy is not _HAND_OFF:
         return policy
     try:
-        doc = yaml.load(text, Loader=_ScenarioLoader)
+        doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValueError(f"scenario is not valid YAML: {exc}") from exc
     except RecursionError as exc:

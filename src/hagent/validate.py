@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import fields, is_dataclass
 from itertools import chain
-from typing import Callable, List, NamedTuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from hagent import model as m
 from hagent.xmlio import Diagnostic, Severity, parse_model, serialize_model, written_texts
@@ -21,19 +21,13 @@ class Rule(NamedTuple):
     code: str
     severity: Severity
     description: str
-    check: Callable[[m.ProcessModel], List[Diagnostic]]
-
-
-def _diag(rule_code, severity, element_id, message) -> Diagnostic:
-    return Diagnostic(severity, rule_code, element_id, message)
+    check: Callable[[m.ProcessModel], Iterable[Tuple[Optional[str], str]]]  # (element id, message)
 
 
 def _check_pair(model):
-    return [
-        _diag("E-PAIR", Severity.ERROR, gw_id, str(result))
-        for gw_id, result in m.analyze_regions(model).items()
-        if isinstance(result, m.ModelError)
-    ]
+    for gw_id, result in m.analyze_regions(model).items():
+        if isinstance(result, m.ModelError):
+            yield gw_id, str(result)
 
 
 def _is_manager(lane) -> bool:
@@ -42,7 +36,6 @@ def _is_manager(lane) -> bool:
 
 
 def _check_manager(model):
-    out = []
     for region in m.analyze_regions(model).values():
         if isinstance(region, m.ModelError):
             continue
@@ -62,19 +55,10 @@ def _check_manager(model):
             for lane_id in region.participant_lane_ids
         ):
             continue
-        out.append(
-            _diag(
-                "E-MGR",
-                Severity.ERROR,
-                merge_gw.id,
-                "leader-driven or debate region has no manager-role lane as decider",
-            )
-        )
-    return out
+        yield merge_gw.id, "leader-driven or debate region has no manager-role lane as decider"
 
 
 def _check_reflection_refs(model):
-    out = []
     for node in model.iter_nodes():
         if not isinstance(node, m.Task) or node.agentic is None:
             continue
@@ -85,36 +69,16 @@ def _check_reflection_refs(model):
             for lane_id in refl.reviewer_lane_ids:
                 lane = model.index.get(lane_id)
                 if not isinstance(lane, m.Lane) or lane.agentic is None:
-                    out.append(
-                        _diag(
-                            "E-REFL-REF",
-                            Severity.ERROR,
-                            node.id,
-                            f"cross-reflection reviewer {lane_id!r} is not an agentic lane",
-                        )
-                    )
+                    yield node.id, f"cross-reflection reviewer {lane_id!r} is not an agentic lane"
                 elif lane_id == node.lane_id:
-                    out.append(
-                        _diag(
-                            "E-REFL-REF",
-                            Severity.ERROR,
-                            node.id,
-                            "cross-reflection reviewer must differ from the task's lane",
-                        )
-                    )
+                    yield node.id, "cross-reflection reviewer must differ from the task's lane"
         elif refl.kind is m.ReflectionKind.HUMAN:
             lane = model.index.get(refl.human_lane_id)
             if not isinstance(lane, m.Lane) or lane.agentic is not None:
-                out.append(
-                    _diag(
-                        "E-REFL-REF",
-                        Severity.ERROR,
-                        node.id,
-                        f"human-reflection lane {refl.human_lane_id!r} "
-                        "must be an existing non-agentic lane",
-                    )
+                yield node.id, (
+                    f"human-reflection lane {refl.human_lane_id!r} "
+                    "must be an existing non-agentic lane"
                 )
-    return out
 
 
 def _pool_is_agentic(pool) -> bool:
@@ -122,37 +86,17 @@ def _pool_is_agentic(pool) -> bool:
 
 
 def _check_message_direction(model):
-    out = []
     for flow in model.message_flows:
         if flow.agentic is None:
             continue
         if flow.agentic.direction is m.MessageFlowDirection.OUTGOING:
-            target_pool = model.pool_of(flow.target_id)
-            if not _pool_is_agentic(target_pool):
-                out.append(
-                    _diag(
-                        "E-MSG-DIR",
-                        Severity.ERROR,
-                        flow.id,
-                        "collaboration message flow must target an agentic pool",
-                    )
-                )
-        else:
-            source_pool = model.pool_of(flow.source_id)
-            if not _pool_is_agentic(source_pool):
-                out.append(
-                    _diag(
-                        "E-MSG-DIR",
-                        Severity.ERROR,
-                        flow.id,
-                        "merge message flow must come from an agentic pool",
-                    )
-                )
-    return out
+            if not _pool_is_agentic(model.pool_of(flow.target_id)):
+                yield flow.id, "collaboration message flow must target an agentic pool"
+        elif not _pool_is_agentic(model.pool_of(flow.source_id)):
+            yield flow.id, "merge message flow must come from an agentic pool"
 
 
 def _check_vote_arity(model):
-    out = []
     for region in m.analyze_regions(model).values():
         if isinstance(region, m.ModelError):
             continue
@@ -161,15 +105,7 @@ def _check_vote_arity(model):
             merge_gw.agentic.merge in m.VOTING_STRATEGIES
             and len(region.branches) < 2
         ):
-            out.append(
-                _diag(
-                    "E-VOTE-ARITY",
-                    Severity.ERROR,
-                    merge_gw.id,
-                    "voting merge needs at least 2 branches",
-                )
-            )
-    return out
+            yield merge_gw.id, "voting merge needs at least 2 branches"
 
 
 _STRATEGY_WORDS = re.compile(
@@ -180,7 +116,6 @@ _STRATEGY_WORDS = re.compile(
 
 
 def _check_annotation_workaround(model):
-    out = []
     for pool in model.pools:
         annotations = {
             a.id: a for a in pool.artifacts if isinstance(a, m.Annotation)
@@ -203,32 +138,17 @@ def _check_annotation_workaround(model):
                     and gw_id in complex_gateways
                     and _STRATEGY_WORDS.search(ann.text)
                 ):
-                    out.append(
-                        _diag(
-                            "W-ANNOT-STRATEGY",
-                            Severity.WARNING,
-                            gw_id,
-                            "complex gateway with strategy-like annotation; "
-                            "consider an agentic merging gateway",
-                        )
+                    yield gw_id, (
+                        "complex gateway with strategy-like annotation; "
+                        "consider an agentic merging gateway"
                     )
-    return out
 
 
 def _check_missing_trust(model):
-    out = []
     for pool in model.pools:
         for lane in pool.lanes:
             if lane.agentic is not None and lane.agentic.trust is None:
-                out.append(
-                    _diag(
-                        "W-NO-TRUST",
-                        Severity.WARNING,
-                        lane.id,
-                        "agentic lane has no trust score",
-                    )
-                )
-    return out
+                yield lane.id, "agentic lane has no trust score"
 
 
 # characters outside XML 1.0's Char production, lone surrogates included
@@ -243,9 +163,9 @@ def _check_xml_chars(model):
     if joined.isprintable() or not _NOT_XML_CHAR.search(joined):
         return []
     return [
-        _diag(
-            "E-XML",
+        Diagnostic(
             Severity.ERROR,
+            "E-XML",
             None if element is model else element.id,
             f"{field} {text!r} holds {char!r}, which XML 1.0 cannot carry",
         )
@@ -279,7 +199,7 @@ def _check_read_back(model):
     ):
         message = _difference(old, new, "")
         if message is not None:
-            return [_diag("E-XML", Severity.ERROR, element_id, message)]
+            return [Diagnostic(Severity.ERROR, "E-XML", element_id, message)]
     return []
 
 
@@ -333,7 +253,8 @@ def _diagnose(model: m.ProcessModel) -> List[Diagnostic]:
         # a document holding such a character is refused whole, with no element
         out += _check_xml_chars(model) or _check_read_back(model)
     for rule in CATALOG:
-        out.extend(rule.check(model))
+        for element_id, message in rule.check(model):
+            out.append(Diagnostic(rule.severity, rule.code, element_id, message))
     out.sort(key=lambda d: (d.code, d.element_id or ""))
     return out
 

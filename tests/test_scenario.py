@@ -1,16 +1,22 @@
 """Scenario files: the schema-driven reader against the loader it replaced.
 
 ``old_scenario`` is that loader, kept verbatim: it built the document's
-generic values and walked them into the policy records afterwards.
+generic values and walked them into the policy records afterwards.  It is
+the reference with every document it hands off composed by
+``yaml.SafeLoader``, so that a scenario reads as ``yaml.safe_load`` reads
+it, on every install.
 """
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import old_scenario
@@ -22,6 +28,7 @@ from test_simulate import (
     FIXTURE_SCENARIO,
     _load_outcome,
     _old_wording,
+    _safe_load_outcome,
     _scalar,
     _scenario,
     _text,
@@ -30,8 +37,7 @@ from test_simulate import (
 
 
 def _agree(text):
-    expected = _load_outcome(old_scenario.load_scenario, text)
-    assert _old_wording(_load_outcome(scenario.load_scenario, text)) == expected
+    assert _old_wording(_load_outcome(scenario.load_scenario, text)) == _safe_load_outcome(text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,53 +118,50 @@ def test_scalar_resolution_is_safe_loads(text, place):
         _agree(f"tasks:\n  t:\n    outputs:\n      - {{label: {text}}}\n")
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "seed: 1\t",
-        "seed:\t1",
-        "seed: \t 1\t\t",
-        "lanes:\n  l:\n    vote: a\t",
-        "lanes:\n  l:\n    reflectionVerdicts:\n      - a\t\n      - b\n",
-        "tasks:\n  t:\n    outputs:\n      - {label: a}\t\n",
-        "tasks:\n  t:\t\n    vote:\t# no vote\n",
-        "seed: 1\t# c",
-        "lanes:\n  l:\n    reflectionVerdicts: [a,\tb]\n",
-        "seed: 1\n  \t\n",
-        "'seed':\t1",
-        "tasks:\n  t: {vote:\ta,\tlatencyMs:\t3}\t# c\n",
-        "lanes:\n  l:\n    vote: a\n     \t \t\n\n     \t# c\n",
-    ],
-    ids=[
-        "after-value", "after-colon", "runs", "nested-value", "sequence-entry", "flow",
-        "no-value", "before-comment", "in-flow-collection", "blank-line", "after-quoted-key",
-        "flow-mapping", "blank-lines-after-a-plain-value",
-    ],
-)
-def test_tab_after_a_value_loads_under_either_loader(text):
-    policy = scenario.load_scenario(text)
-    with mock.patch.object(scenario, "_ScenarioLoader", yaml.SafeLoader):
-        assert scenario.load_scenario(text) == policy
-    assert scenario._read(text) == policy
+# tabs that libyaml reads as white space; PyYAML's own scanner refuses them
+_TABS_AFTER_A_VALUE = {
+    "after-value": "seed: 1\t",
+    "after-colon": "seed:\t1",
+    "runs": "seed: \t 1\t\t",
+    "nested-value": "lanes:\n  l:\n    vote: a\t",
+    "sequence-entry": "lanes:\n  l:\n    reflectionVerdicts:\n      - a\t\n      - b\n",
+    "flow": "tasks:\n  t:\n    outputs:\n      - {label: a}\t\n",
+    "no-value": "tasks:\n  t:\t\n    vote:\t# no vote\n",
+    "before-comment": "seed: 1\t# c",
+    "in-flow-collection": "lanes:\n  l:\n    reflectionVerdicts: [a,\tb]\n",
+    "blank-line": "seed: 1\n  \t\n",
+    "after-quoted-key": "'seed':\t1",
+    "flow-mapping": "tasks:\n  t: {vote:\ta,\tlatencyMs:\t3}\t# c\n",
+    "blank-lines-after-a-plain-value": "lanes:\n  l:\n    vote: a\n     \t \t\n\n     \t# c\n",
+}
+# tabs the reader handed off even while it read those above as libyaml does
+_OTHER_TABS = [
+    "seed: 1\n\t\n",
+    "\tseed: 1",
+    "lanes:\n  l:\n    vote: a\tb",
+    "lanes:\n  l:\n    vote: a,\tb",  # a "," outside a flow collection is text
+    "lanes:\n  l:\n    vote: a\n    \t\n",
+    "seed: '1'\n  \t\n",
+    "seed: 1 # c\n  \t\n",
+    "seed: 1\n# c\n  \t\n",
+]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "seed: 1\n\t\n",
-        "\tseed: 1",
-        "lanes:\n  l:\n    vote: a\tb",
-        "lanes:\n  l:\n    vote: a,\tb",  # a "," outside a flow collection is text
-        # libyaml refuses a line of blanks with a tab in it unless it follows
-        # a plain scalar, deeper than the scalar's line
-        "lanes:\n  l:\n    vote: a\n    \t\n",
-        "seed: '1'\n  \t\n",
-        "seed: 1 # c\n  \t\n",
-        "seed: 1\n# c\n  \t\n",
-    ],
-)
-def test_reader_hands_off_other_tabs(text):
+def _handed_off_and_read_as_safe_load_reads_it(text):
     assert scenario._read(text) is scenario._HAND_OFF
+    _agree(text)
+
+
+@pytest.mark.parametrize("text", list(_TABS_AFTER_A_VALUE.values()), ids=list(_TABS_AFTER_A_VALUE))
+def test_tab_after_a_value_goes_to_safe_load(text):
+    _handed_off_and_read_as_safe_load_reads_it(text)
+    with pytest.raises(ValueError, match="^scenario is not valid YAML: "):
+        scenario.load_scenario(text)
+
+
+@pytest.mark.parametrize("text", _OTHER_TABS)
+def test_reader_hands_off_other_tabs(text):
+    _handed_off_and_read_as_safe_load_reads_it(text)
 
 
 @st.composite
@@ -178,16 +181,75 @@ def tabbed_scenarios(draw):
     return text
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__, reason="compares with libyaml")
 @settings(max_examples=300, deadline=None)
 @given(tabbed_scenarios())
-def test_reader_reads_tabs_as_libyaml_does(text):
-    # where the reader takes a text with tabs, its policy is the one libyaml
-    # composes; where it hands off, the composing loader decides
-    policy = scenario._read(text)
-    if policy is not scenario._HAND_OFF:
-        doc = yaml.load(text, Loader=scenario._ScenarioLoader)
-        assert scenario._record(doc, scenario._DOCUMENT, "") == policy
+def test_tabbed_scenarios_read_as_safe_load_reads_them(text):
+    # a tab is outside the reader's subset, so yaml.safe_load decides
+    if "\t" in text:
+        _handed_off_and_read_as_safe_load_reads_it(text)
+    else:
+        _agree(text)
+
+
+def _drawn(strategy, count):
+    """A fixed sample of ``count`` draws of ``strategy``."""
+    drawn = []
+
+    @settings(max_examples=count, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(strategy)
+    def draw(text):
+        drawn.append(text)
+
+    draw()
+    return drawn
+
+
+# loads each JSON text of stdin, with libyaml hidden when asked, and writes
+# each outcome
+_LOAD = """\
+import json, sys
+hide = sys.argv[1:] == ["hide-libyaml"]
+if hide:
+    sys.modules["yaml._yaml"] = None
+import yaml
+from hagent import model as m
+from hagent.scenario import load_scenario
+assert not (hide and yaml.__with_libyaml__)
+outcomes = []
+for text in json.load(sys.stdin):
+    try:
+        outcomes.append(["value", repr(load_scenario(text))])
+    except (ValueError, m.OutOfRange) as exc:
+        outcomes.append(["error", type(exc).__name__, str(exc)])
+json.dump(outcomes, sys.stdout)
+"""
+
+
+def _outcomes_in_child(texts, *args):
+    src = str(Path(scenario.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _LOAD, *args],
+        input=json.dumps(texts),
+        # one hash seed for both children, so that a set's repr is the same
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+def test_every_install_reads_a_scenario_the_same():
+    texts = [
+        *(text for text, _ in _YAML_CORPUS.values()),
+        *_TABS_AFTER_A_VALUE.values(),
+        *_OTHER_TABS,
+        *_drawn(mutated_scenarios(), 300),
+        *_drawn(tabbed_scenarios(), 300),
+    ]
+    assert _outcomes_in_child(texts, "hide-libyaml") == _outcomes_in_child(texts)
 
 
 def test_fixture_and_bench_shaped_scenarios_read_as_before():

@@ -913,6 +913,50 @@ def test_message_region_pick_comes_from_the_requesting_pool_first():
         "12\tTokenEnd\tn-end",
     ]
 
+
+def _branch_delegation_model(message_flows):
+    """``region_model()`` and pool B, joined by ``message_flows``."""
+    return m.ProcessModel(
+        id="model-msg",
+        pools=(*region_model().pools, delegation_model(()).pools[1]),
+        message_flows=tuple(message_flows),
+    )
+
+
+_BRANCH_SCENARIO = sim.ScenarioPolicy(
+    per_task=region_scenario_tasks(), per_lane={"lane-hub": sim.LaneScript(manager_pick="beta")}
+)
+
+
+def test_message_flow_from_inside_a_region_is_warned_about():
+    # the branch runs its task and the region merges; the pair does not open
+    model = _branch_delegation_model(
+        [_outgoing("mf-out", "t-b1", "t-work"), _incoming("mf-in", "t-refine", "t-b1")]
+    )
+    assert run_lines(model, _BRANCH_SCENARIO) == [
+        "0\tTokenEnter\tn-start",
+        "1\tTokenEnter\tt-seed",
+        "2\tTaskDone\tt-seed\tlabel=seed lane=lane-hub trust=90",
+        "3\tTokenEnter\tgw-div",
+        "4\tRegionOpen\tgw-div\tmode=role",
+        "5\tTokenEnter\tt-b1",
+        "6\tTaskDone\tt-b1\tlabel=alpha lane=lane-b1 confidence=70 latencyMs=120 completeness=40 trust=70",
+        "7\tTokenEnter\tt-b2",
+        "8\tTaskDone\tt-b2\tlabel=beta lane=lane-b2 confidence=85 latencyMs=80 completeness=90 trust=85",
+        "9\tCandidateSet\tgw-mrg\tsize=2 labels=alpha,beta",
+        "10\tMergeDecision\tgw-mrg\tstrategy=role.leaderDriven chosen=beta rationale=leader pick 'beta'",
+        "11\tTokenEnter\tgw-mrg",
+        "12\tTokenEnd\tn-end",
+        "#\twarning\tW-MULTIPOOL mf-out: message flow from inside a collaboration region is not executed",
+    ]
+
+
+def test_unmatched_message_flow_from_inside_a_region_warns_as_elsewhere():
+    model = _branch_delegation_model([_outgoing("mf-out", "t-b1", "t-work")])
+    assert sim.run_simulation(model, _BRANCH_SCENARIO).warnings == [
+        "W-MULTIPOOL mf-out: no matching incoming merge flow"
+    ]
+
 # -- determinism -------------------------------------------------------------
 
 
@@ -1129,18 +1173,6 @@ def test_load_scenario_rejects_deep_block_nesting():
     )
 
 
-def test_scenario_loader_parses_with_libyaml():
-    if not yaml.__with_libyaml__:
-        assert scenario._ScenarioLoader is yaml.SafeLoader
-        return
-    from yaml.composer import Composer
-    from yaml.cyaml import CParser
-
-    assert issubclass(scenario._ScenarioLoader, CParser)
-    # the Python composer, not libyaml's recursive one, builds the nodes
-    assert scenario._ScenarioLoader.compose_node is Composer.compose_node
-
-
 # text that plain YAML would read as another type or as structure, or that
 # needs quoting or escaping
 _TRICKY = ["yes", "no", "on", "null", "~", "1e3", "0o17", "0x1f", "12", "1.5",
@@ -1196,7 +1228,6 @@ def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_un
     # quotes, where YAML reads it as a line break, so only the loaders agree
     if "\x85" not in text:
         assert raw == document
-    assert yaml.load(text, Loader=scenario._ScenarioLoader) == raw
     policy = scenario._read(text)
     assert policy is scenario._HAND_OFF or policy == old_scenario.load_scenario(text)
     # the reader takes every generated scenario written in block style, or
@@ -1212,9 +1243,7 @@ def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_un
         and not _EXPLICIT_KEY.search(text)
     ):
         assert policy is not scenario._HAND_OFF
-    with mock.patch.object(scenario, "_ScenarioLoader", yaml.SafeLoader):
-        expected = sim.load_scenario(text)
-    assert sim.load_scenario(text) == expected
+    assert _old_wording(_load_outcome(sim.load_scenario, text)) == _safe_load_outcome(text)
 
 
 # -- the reader against the composing loader ----------------------------------
@@ -1310,6 +1339,11 @@ _YAML_CORPUS = {
     "compact-nesting-over-bound": ("- " * 65 + "x", True),
     "value-ending-in-colon": ("a: b:", True),
     "comment-before-colon": ("a #b: c", True),
+    # where libyaml and PyYAML's own scanner disagree: the first and third
+    # load only without libyaml, the second only with it
+    "byte-order-mark-in-line": ("a: 1\n\ufeffb: 2\n", True),
+    "byte-order-mark-line": ("seed: 1\n\ufeff\n", True),
+    "flow-key-before-comma": ('tasks:\n  t:\n    outputs:\n      - {label:, payload: "x"}\n', True),
 }
 
 
@@ -1330,6 +1364,14 @@ _KEY_PATH = re.compile(
 )
 
 
+def _safe_load_outcome(text):
+    """The reference outcome of ``text``: the old loader's, with every
+    document it hands off composed by ``yaml.SafeLoader``, PyYAML's own
+    Python, as ``yaml.safe_load`` composes it on every install."""
+    with mock.patch.object(old_scenario, "_ScenarioLoader", yaml.SafeLoader):
+        return _load_outcome(old_scenario.load_scenario, text)
+
+
 def _old_wording(outcome):
     """``outcome`` with its error's key path cut, as the old loader worded it:
     "tasks.t1.latencyMs must be an integer, got 'x'" reads "latencyMs must be
@@ -1342,30 +1384,30 @@ def _old_wording(outcome):
     return kind, error, message[cut.end():] if cut else message
 
 
+def _handed_off_outcome(text):
+    """``load_scenario``'s outcome with the reader bypassed: what the schema
+    makes of ``yaml.safe_load(text)``, word for word."""
+    with mock.patch.object(scenario, "_read", return_value=scenario._HAND_OFF):
+        return _load_outcome(sim.load_scenario, text)
+
+
 @pytest.mark.parametrize(
-    "events", [scenario._ScenarioLoader, yaml.SafeLoader], ids=["scenario-loader", "safe-loader"]
+    "wording, reference",
+    [(lambda outcome: outcome, _handed_off_outcome), (_old_wording, _safe_load_outcome)],
+    ids=["scenario-loader", "safe-loader"],
 )
 @pytest.mark.parametrize(
     "text, handed_off", list(_YAML_CORPUS.values()), ids=list(_YAML_CORPUS)
 )
-def test_one_pass_build_agrees_with_safe_loader(text, handed_off, events):
-    # the policy, or the error, is the one the loader that built safe_load's
-    # values from the document gave, under either composing loader
-    with mock.patch.object(old_scenario, "_ScenarioLoader", events):
-        expected = _load_outcome(old_scenario.load_scenario, text)
-    with mock.patch.object(scenario, "_ScenarioLoader", events):
-        assert _old_wording(_load_outcome(sim.load_scenario, text)) == expected
+def test_one_pass_build_agrees_with_safe_loader(text, handed_off, wording, reference):
+    # the policy, or the error, is the one load_scenario's own hand-off to
+    # yaml.safe_load gives, word for word, and the one the old loader gave
+    assert wording(_load_outcome(sim.load_scenario, text)) == reference(text)
     # the reader raises nothing: it hands every syntax error to the
     # composing loader, which reports it; it also hands off a document in
     # the subset that does not fit the schema, which most of these do not
     if handed_off:
         assert scenario._read(text) is scenario._HAND_OFF
-
-
-def test_reader_reads_a_tab_after_a_value():
-    # libyaml reads the tab as white space where PyYAML's scanner refuses
-    # it; the reader reads it as libyaml does, so the install does not decide
-    assert scenario._read("seed: 1\t\nlanes: {}") == sim.ScenarioPolicy(seed=1)
 
 
 FIXTURE_SCENARIO = (FIXTURES / "bug-triage.scn.yaml").read_text(encoding="utf-8")
@@ -1402,7 +1444,7 @@ lanes:
 )
 def test_scenarios_load_without_hand_off(text):
     expected = old_scenario.load_scenario(text)
-    with mock.patch.object(yaml, "load", side_effect=AssertionError("handed off")):
+    with mock.patch.object(yaml, "safe_load", side_effect=AssertionError("handed off")):
         policy = sim.load_scenario(text)
         source = text.decode("utf-8") if isinstance(text, bytes) else text
         assert scenario._read(source) == expected
@@ -1451,6 +1493,4 @@ def mutated_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(mutated_scenarios())
 def test_scanner_agrees_with_composing_loader_on_mutated_scenarios(text):
-    outcome = _load_outcome(sim.load_scenario, text)
-    with mock.patch.object(scenario, "_read", return_value=scenario._HAND_OFF):
-        assert _load_outcome(sim.load_scenario, text) == outcome
+    assert _load_outcome(sim.load_scenario, text) == _handed_off_outcome(text)

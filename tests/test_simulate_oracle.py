@@ -7,7 +7,9 @@ conditions included) with message-flow pairs: unmatched flows,
 multi-instance pools, remote chains with back edges and forks, incoming
 flows that leave a node off the chain, and chains with no task.  Both
 simulators must write the same trace, warnings included, or raise the same
-error class with the same message.
+error class with the same message; the new simulator's warnings about a
+message flow from a node inside a collaboration region, which the old one
+never looked up, are taken out first.
 """
 
 import random
@@ -219,8 +221,41 @@ def _outcome(simulator, model, scenario):
         return type(exc).__name__, str(exc)
 
 
+def _in_region_warnings(model):
+    """The warning lines the simulator writes, and the old one did not, for
+    the agentic message flows from nodes inside a collaboration region: a
+    gateway region's branch or a message-flow region's remote chain."""
+    message_regions = model._message_regions
+    inside = {node for region in m.analyze_regions(model).values()
+              for path in region.branches for node in path[1:-1]}
+    inside.update(node for _, region in message_regions.values() if region for node in region.chain)
+    lines = set()
+    for node in inside & message_regions.keys():
+        warnings, region = message_regions[node]
+        lines.update(warnings)
+        if region is not None:
+            lines.add(f"W-MULTIPOOL {region.outgoing.id}: message flow from inside a collaboration"
+                      " region is not executed")
+    return {f"#\twarning\t{line}" for line in lines}
+
+
+def _without_new_warnings(trace, old, model):
+    """``trace`` without the in-region warning lines that ``old`` lacks."""
+    new_lines = _in_region_warnings(model)
+    old_lines = old.splitlines()
+    kept = []
+    for line in trace.splitlines():
+        if line in new_lines and old_lines[len(kept):len(kept) + 1] != [line]:
+            continue
+        kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(delegations())
 def test_simulator_agrees_with_the_old_one_on_multi_pool_models(drawn):
     model, scenario = drawn
-    assert _outcome(sim, model, scenario) == _outcome(old_simulate, model, scenario)
+    new, old = _outcome(sim, model, scenario), _outcome(old_simulate, model, scenario)
+    if isinstance(new, str) and isinstance(old, str):
+        new = _without_new_warnings(new, old, model)
+    assert new == old
