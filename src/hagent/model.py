@@ -774,7 +774,7 @@ def _match_message_regions(model: ProcessModel) -> dict:
     outgoing: dict = {}
     incoming: dict = {}  # (source pool id, target pool id) -> first flow
     pools = model._node_pools
-    opens = GatewayDirection.OUTGOING
+    opens = GatewayDirection.DIVERGING
     for flow in model.message_flows:
         if flow.agentic is None:
             continue

@@ -2,10 +2,13 @@
 
 ``_SCENARIO`` describes a scenario document once, key by key.  A scenario
 is what those rows make of ``yaml.safe_load(text)``, on every install.
-``_read`` is a faster way to the same policy for a subset of YAML: it fills
-the policy records from the text under the rows in one pass, and hands any
-other document to ``yaml.safe_load``, whose value converts through the
-same rows, which raise the errors :func:`load_scenario` documents.
+``_read`` is a faster way to the same policy for the YAML scenarios are
+written in: block collections, scalars, one-line flow mappings of a
+record's scalar keys, one-line flow sequences of scalars and ``{}``.  It
+fills the policy records from the text under the rows in one pass, and
+hands any other document to ``yaml.safe_load``, whose value converts
+through the same rows, which raise the errors :func:`load_scenario`
+documents.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class ScenarioPolicy:
 
 def _int(value, row, path):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{path} must be an integer, got {value!r}")
+        raise ValueError(f"{path} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -88,8 +91,8 @@ def _text(value, row, path):
 
 
 def _scalar(value, row, path):
-    if isinstance(value, (list, dict)):
-        raise ValueError(f"{path} must be a scalar, got {value!r}")
+    if isinstance(value, (list, dict, set, frozenset)):
+        raise ValueError(f"{path} must be a scalar, got {_shown(value)}")
     return None if value is None else str(value)
 
 
@@ -122,8 +125,31 @@ def _shaped(value, shape: type, path: str):
     if value is None:
         return shape()
     if not isinstance(value, shape):
-        raise ValueError(f"{path} must be a {'list' if shape is list else 'mapping'}, got {value!r}")
+        raise ValueError(f"{path} must be a {'list' if shape is list else 'mapping'}, got {_shown(value)}")
     return value
+
+
+def _shown(value, outer: tuple = ()) -> str:
+    """``repr(value)``, but with each set's items in the order of their
+    reprs, so that a message reads the same under every hash seed."""
+    if isinstance(value, (set, frozenset)) and value:
+        items = "{" + ", ".join(sorted(map(repr, value))) + "}"
+        return items if type(value) is set else f"frozenset({items})"
+    if not isinstance(value, (list, dict)):
+        return repr(value)
+    if id(value) in outer:  # a collection inside itself, through an alias
+        return "[...]" if type(value) is list else "{...}"
+    outer += (id(value),)
+    # plain loops, not generators: one frame a level, half of what composing
+    # the value took, so a value yaml.safe_load composed is never too deep here
+    parts = []
+    if type(value) is list:
+        for item in value:
+            parts.append(_shown(item, outer))
+        return "[" + ", ".join(parts) + "]"
+    for key, item in value.items():
+        parts.append(f"{_shown(key, outer)}: {_shown(item, outer)}")
+    return "{" + ", ".join(parts) + "}"
 
 
 class _Row(NamedTuple):
@@ -282,16 +308,14 @@ _INDICATORS = frozenset("-?:,[]{}#&*!|>'\"%@`")
 # A quoted scalar that closes on its line; a double-quoted one has no escape.
 _QUOTED = re.compile(r"""'[^']*(?:''[^']*)*'|"[^"\\]*\"""")
 _COMMENT = re.compile(" +#")
-# One entry of a one-line flow collection with the indicator after it:
-# (plain key, quoted key, plain value, quoted value, indicator); or, where no
-# entry matches, the rest of the line.
-_FLOW_ENTRY = re.compile(
-    f" *(?:(?:({_FLOW_PLAIN})|({_QUOTED.pattern})) *: +)?"
-    f"(?:({_FLOW_PLAIN})|({_QUOTED.pattern}))? *"
-    r"([\[\]{},])|(.+)"
-)
-_ITEM, _VALUE, _NEXT = range(3)  # what a one-line flow collection waits for next
-_MAX_DEPTH = 64  # deeper flow collections go to the composing loader
+# A one-line flow sequence of scalars, plain or quoted, and any comment after it.
+_FLOW_SCALAR = f"(?:{_FLOW_PLAIN}|{_QUOTED.pattern})"
+_FLAT_LIST = re.compile(
+    rf"(\[ *(?:{_FLOW_SCALAR} *(?:, *{_FLOW_SCALAR} *)*(?:, *)?)?\])(?: +#.*)?"
+).fullmatch
+# Each item of such a sequence: (plain, quoted).
+_LIST_ITEM = re.compile(f"({_FLOW_PLAIN})|({_QUOTED.pattern})")
+_EMPTY_MAPPING = re.compile(r"\{ *\}(?: +#.*)?").fullmatch
 _BOTTOM = (-1, None, None, None, None, None)  # the frame below the outermost block collection
 
 
@@ -465,11 +489,22 @@ def _build(record: _Record, made: dict):
 
 
 def _node(text: str):
-    """The flow collection or scalar that fills ``text``, the rest of a
-    block line."""
+    """The scalar, one-line flow sequence of scalars or ``{}`` that fills
+    ``text``, the rest of a block line; ``_HAND_OFF`` for any other node."""
     first = text[0]
-    if first == "[" or first == "{":
-        return _flow(text)
+    if first == "[":
+        flat = _FLAT_LIST(text)
+        if flat is None:
+            return _HAND_OFF
+        items = []
+        for plain, quoted in _LIST_ITEM.findall(text, 1, flat.end(1)):
+            item = _unquote(quoted) if quoted else _resolve(plain) if plain[0] in _RESOLVERS else plain
+            if item is _HAND_OFF:
+                return _HAND_OFF
+            items.append(item)
+        return items
+    if first == "{":
+        return {} if _EMPTY_MAPPING(text) else _HAND_OFF
     if first == "'" or first == '"':
         quoted = _QUOTED.match(text)
         if quoted is None:
@@ -480,74 +515,6 @@ def _node(text: str):
         return _unquote(quoted.group())
     cut = text.find(" #")
     return _plain(text if cut < 0 else text[:cut].rstrip(" "))
-
-
-def _flow(text: str):
-    """The flow collection that opens at the start of ``text`` and closes
-    on it, built with an explicit stack."""
-    stack = []  # the enclosing open collections, outermost first
-    node = closed = None
-    state = _ITEM
-    for plain_key, quoted_key, plain, quoted, indicator, rest in _FLOW_ENTRY.findall(text):
-        if rest or closed is not None:
-            # only a comment may follow the collection
-            return closed if closed is not None and _COMMENT.match(rest) else _HAND_OFF
-        # keys and values are built inline, not by a helper: this runs for
-        # every entry of every flow line
-        if plain_key or quoted_key:
-            if state != _ITEM or type(node) is not dict:
-                return _HAND_OFF
-            if quoted_key:
-                key = _unquote(quoted_key)
-            elif plain_key[0] in _RESOLVERS:
-                key = _resolve(plain_key)
-                if key is _HAND_OFF:
-                    return _HAND_OFF
-            else:
-                key = plain_key
-            state = _VALUE
-        if plain or quoted:
-            if quoted:
-                value = _unquote(quoted)
-            elif plain[0] in _RESOLVERS:
-                value = _resolve(plain)
-                if value is _HAND_OFF:
-                    return _HAND_OFF
-            else:
-                value = plain
-            if state == _VALUE:
-                node[key] = value
-            elif state == _ITEM and type(node) is list:
-                node.append(value)
-            else:  # a mapping key with no value
-                return _HAND_OFF
-            state = _NEXT
-        if indicator == ",":
-            if state != _NEXT:
-                return _HAND_OFF
-            state = _ITEM
-        elif indicator == "]" or indicator == "}":
-            # after an entry, an opening or a trailing ","
-            if state == _VALUE or (indicator == "]") != (type(node) is list):
-                return _HAND_OFF
-            if stack:
-                node, state = stack.pop(), _NEXT
-            else:
-                closed = node
-        else:  # "[" or "{"
-            child = [] if indicator == "[" else {}
-            if node is not None:
-                if state == _VALUE:
-                    node[key] = child
-                elif state == _ITEM and type(node) is list:
-                    node.append(child)
-                else:  # a collection as a key, or a missing ","
-                    return _HAND_OFF
-                stack.append(node)
-            if len(stack) >= _MAX_DEPTH:
-                return _HAND_OFF
-            node, state = child, _ITEM
-    return _HAND_OFF if closed is None else closed
 
 
 def _unquote(quoted: str) -> str:

@@ -89,7 +89,7 @@ def _check_message_direction(model):
     for flow in model.message_flows:
         if flow.agentic is None:
             continue
-        if flow.agentic.direction is m.MessageFlowDirection.OUTGOING:
+        if flow.agentic.direction is m.GatewayDirection.DIVERGING:
             if not _pool_is_agentic(model.pool_of(flow.target_id)):
                 yield flow.id, "collaboration message flow must target an agentic pool"
         elif not _pool_is_agentic(model.pool_of(flow.source_id)):

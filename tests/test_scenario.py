@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import old_scenario
+from conftest import FIXTURES
 from hagent import model as m
 from hagent import scenario
 from test_simulate import (
@@ -112,7 +113,11 @@ def test_reader_agrees_with_old_loader_on_broken_scenarios(text):
 @pytest.mark.parametrize("text", [text for text, _ in _YAML_CORPUS.values()], ids=list(_YAML_CORPUS))
 def test_scalar_resolution_is_safe_loads(text, place):
     # yes, 017, 0x1f, 1:20 and null resolve as yaml.safe_load resolves them
-    if place == "vote":
+    if place == "vote" and text.startswith("!!set"):
+        # the old loader took a set as its text, in hash order
+        with pytest.raises(ValueError, match=r"^tasks\.t\.vote must be a scalar, got \{'a', 'b'\}$"):
+            scenario.load_scenario(f"tasks:\n  t:\n    vote: {text}\n")
+    elif place == "vote":
         _agree(f"tasks:\n  t:\n    vote: {text}\n")
     else:
         _agree(f"tasks:\n  t:\n    outputs:\n      - {{label: {text}}}\n")
@@ -231,8 +236,7 @@ def _outcomes_in_child(texts, *args):
     done = subprocess.run(
         [sys.executable, "-c", _LOAD, *args],
         input=json.dumps(texts),
-        # one hash seed for both children, so that a set's repr is the same
-        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "0"},
+        env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=300,
@@ -296,16 +300,71 @@ def test_one_line_records_read_as_the_old_loader_reads_them(entries, separator, 
 
 def test_output_lines_are_read_by_one_match(monkeypatch):
     # every output line of the fixture and bench-shaped scenarios is read by
-    # its record's one match, never by the general flow reader
-    flowed = []
-    original = scenario._flow
-    monkeypatch.setattr(scenario, "_flow", lambda text: flowed.append(text) or original(text))
+    # its record's one match, never by the reader of other nodes, which
+    # reads the verdict lists
+    read = []
+    original = scenario._node
+    monkeypatch.setattr(scenario, "_node", lambda text: read.append(text) or original(text))
     for text in (FIXTURE_SCENARIO, _BENCH_SHAPED):
         outputs = [line.split("- ", 1)[1] for line in text.splitlines() if "- {" in line]
         assert outputs and all(scenario._OUTPUT.line(output) for output in outputs)
         assert scenario._read(text) == old_scenario.load_scenario(text)
-        assert flowed and not set(flowed) & set(outputs)
-        flowed.clear()
+        assert any(node.startswith("[") for node in read) and not set(read) & set(outputs)
+        read.clear()
+
+
+# one-line lists of scalars, each read as the old loader read it
+_ONE_LINE_LISTS = [
+    "[revise, accept]",
+    "[7, -3, +4, 0, yes, No, null, ~]",
+    "['it''s', '', 'a, b']",
+    '["x", "a: b", "#c", ""]',
+    "[]",
+    "[ ]",
+    "[accept,]",
+    "[a, 'b', \"c\" , ] # comment",
+    "[a b, -x, x-y, a#b] # c",
+]
+
+
+@pytest.mark.parametrize("flat", _ONE_LINE_LISTS)
+def test_one_line_lists_are_read(flat):
+    for text in (
+        f"tasks:\n  t:\n    reflectionVerdicts: {flat}\n",
+        f"lanes:\n  l:\n    reflectionVerdicts: {flat}\n",
+    ):
+        assert scenario._read(text) is not scenario._HAND_OFF
+        _agree(text)
+
+
+def test_set_messages_do_not_follow_the_hash_seed(tmp_path):
+    # a set is written with its items sorted, so stderr is the same under
+    # any hash seed; a set is not a scalar
+    src = str(Path(scenario.__file__).resolve().parents[1])
+    errors = {}
+    documents = {
+        "document": "!!set {a, b, c}\n",
+        "pick": "lanes:\n  l:\n    managerPick: !!set {a, b, c}\n",
+        "nested": "seed: [!!set {a, b, c}]\n",
+    }
+    for name, text in documents.items():
+        path = tmp_path / f"{name}.scn.yaml"
+        path.write_text(text, encoding="utf-8")
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from hagent.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "simulate", str(FIXTURES / "bug-triage.bpmn"), "--scenario", str(path)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                timeout=120,
+            )
+            assert done.returncode == 1
+            errors.setdefault(name, set()).add(done.stderr)
+    assert errors == {
+        "document": {b"hagent: bad scenario file: scenario must be a mapping, got {'a', 'b', 'c'}\n"},
+        "pick": {b"hagent: bad scenario file: lanes.l.managerPick must be a scalar, got {'a', 'b', 'c'}\n"},
+        "nested": {b"hagent: bad scenario file: seed must be an integer, got [{'a', 'b', 'c'}]\n"},
+    }
 
 
 def _schema_keys(record, prefix=""):

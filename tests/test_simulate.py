@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import os
 import re
@@ -1230,14 +1231,14 @@ def test_scenario_loader_agrees_with_pure_python_loader(document, flow, allow_un
         assert raw == document
     policy = scenario._read(text)
     assert policy is scenario._HAND_OFF or policy == old_scenario.load_scenario(text)
-    # the reader takes every generated scenario written in block style, or
-    # in flow style on one line, that holds no backslash escape; a raw NEL,
-    # LS or PS is a line break to YAML, so a scalar holding one spans lines,
-    # as does a key or text holding "\n", which the emitter quotes over
-    # several lines; and the emitter writes an empty key as an explicit "? " key
-    one_line = not flow or text.count("\n") == 1
+    # the reader takes every generated scenario written in block style that
+    # holds no backslash escape (flow style goes to yaml.safe_load); a raw
+    # NEL, LS or PS is a line break to YAML, so a scalar holding one spans
+    # lines, as does a key or text holding "\n", which the emitter quotes
+    # over several lines; and the emitter writes an empty key as an
+    # explicit "? " key
     if (
-        one_line
+        not flow
         and not any(c in text for c in "\\\x85\u2028\u2029")
         and not any("\n" in s for s in _texts_in(document))
         and not _EXPLICIT_KEY.search(text)
@@ -1344,6 +1345,11 @@ _YAML_CORPUS = {
     "byte-order-mark-in-line": ("a: 1\n\ufeffb: 2\n", True),
     "byte-order-mark-line": ("seed: 1\n\ufeff\n", True),
     "flow-key-before-comma": ('tasks:\n  t:\n    outputs:\n      - {label:, payload: "x"}\n', True),
+    # flow collections the reader leaves to yaml.safe_load: all but one-line
+    # lists of scalars, "{}" and the one-line records its regex reads
+    "nested-list": ("lanes:\n  l:\n    reflectionVerdicts: [a, [b]]\n", True),
+    "output-list": ("tasks:\n  t:\n    outputs: [{label: a}]\n", True),
+    "nested-flow-mapping": ("tasks: {t: {vote: a}}", True),
 }
 
 
@@ -1372,16 +1378,30 @@ def _safe_load_outcome(text):
         return _load_outcome(old_scenario.load_scenario, text)
 
 
+# a set of texts in an error: load_scenario writes its items sorted by repr
+_SET_TEXT = re.compile(r"\{('[^'{}]*'(?:, '[^'{}]*')*)\}")
+
+
+def _hash_ordered(match):
+    """The set ``match`` writes, built as ``SafeConstructor.construct_yaml_set``
+    builds it from a document that lists its items in sorted order (as every
+    set these tests load does), so written in the old loader's order."""
+    built = set()
+    built.update(dict.fromkeys(ast.literal_eval(f"[{match.group(1)}]")))
+    return repr(built)
+
+
 def _old_wording(outcome):
     """``outcome`` with its error's key path cut, as the old loader worded it:
     "tasks.t1.latencyMs must be an integer, got 'x'" reads "latencyMs must be
     an integer, got 'x'", and "tasks.t1.outputs[0].confidence: trust score 900
-    outside 0..100" reads "trust score 900 outside 0..100"."""
+    outside 0..100" reads "trust score 900 outside 0..100"; and with each set
+    in the hash order the old loader wrote it in."""
     if outcome[0] != "error":
         return outcome
     kind, error, message = outcome
     cut = _KEY_PATH.match(message)
-    return kind, error, message[cut.end():] if cut else message
+    return kind, error, _SET_TEXT.sub(_hash_ordered, message[cut.end():] if cut else message)
 
 
 def _handed_off_outcome(text):
@@ -1437,18 +1457,29 @@ lanes:
 """
 
 
+def _scenario_texts(source):
+    """The scenarios of a fixture, of ``_BENCH_SHAPED`` or of the first
+    block of a benchmark workload's deck at seed 7."""
+    if source in ("fixture", "delegation-fixture"):
+        name = "bug-triage" if source == "fixture" else "delegation"
+        return [(FIXTURES / f"{name}.scn.yaml").read_bytes()]
+    if source == "bench-shaped":
+        return [_BENCH_SHAPED]
+    gen = bench_gen()
+    return [case.scenario for case in gen.build_deck(source, 7)[: gen.BLOCK_SIZE[source]]]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [(FIXTURES / "bug-triage.scn.yaml").read_bytes(), _BENCH_SHAPED],
-    ids=["fixture", "bench-shaped"],
+    "source", ["fixture", "delegation-fixture", "bench-shaped", "region-chain", "delegation", "lint-invalid"]
 )
-def test_scenarios_load_without_hand_off(text):
-    expected = old_scenario.load_scenario(text)
-    with mock.patch.object(yaml, "safe_load", side_effect=AssertionError("handed off")):
-        policy = sim.load_scenario(text)
-        source = text.decode("utf-8") if isinstance(text, bytes) else text
-        assert scenario._read(source) == expected
-    assert policy == expected and policy.per_task and policy.per_lane
+def test_scenarios_load_without_hand_off(source):
+    for text in _scenario_texts(source):
+        expected = old_scenario.load_scenario(text)
+        with mock.patch.object(yaml, "safe_load", side_effect=AssertionError("handed off")):
+            policy = sim.load_scenario(text)
+            decoded = text.decode("utf-8") if isinstance(text, bytes) else text
+            assert scenario._read(decoded) == expected
+        assert policy == expected and policy.per_task and policy.per_lane
 
 
 # -- mutated scenarios: the reader's differential gate -------------------------
