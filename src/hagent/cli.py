@@ -18,7 +18,7 @@ from hagent import model as m
 from hagent import simulate
 from hagent.render import BadLayout, MissingLayout, check_layout, render_svg
 from hagent.validate import render_diagnostics, validate_model
-from hagent.xmlio import Severity, export_extension_schema, parse_model, paused_gc
+from hagent.xmlio import ParseResult, Severity, export_extension_schema, parse_model, paused_gc
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -77,6 +77,26 @@ def _read(path: str) -> bytes:
         raise SystemExit(_usage_error(f"cannot read {path}: {exc}"))
 
 
+# the bytes of the last document _load parsed and its ParseResult, replaced whole
+_last = (None, None)
+
+
+def _load(path: str) -> ParseResult:
+    """``parse_model`` of the file at ``path``, read anew on every call.
+    While its bytes equal those of the last document parsed, the same
+    ParseResult comes back, with the analyses memoized on its model; no
+    command may change it."""
+    global _last
+    data = _read(path)
+    last = _last
+    if last[0] == data:
+        return last[1]
+    _last = (None, None)  # the old model goes before the next one is built
+    result = parse_model(data)
+    _last = (data, result)
+    return result
+
+
 def _write_utf_8(stream, data: bytes):
     """``data`` on ``stream`` as it is, UTF-8 whatever the locale, after
     what the text layer holds; a stream without a byte layer (io.StringIO)
@@ -126,7 +146,7 @@ def _colorize(text: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    result = parse_model(_read(args.input))
+    result = _load(args.input)
     diagnostics = list(result.diagnostics)
     if result.model is not None:
         diagnostics += validate_model(result.model)
@@ -140,7 +160,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    result = parse_model(_read(args.input))
+    result = _load(args.input)
     if result.model is None:
         _error(render_diagnostics(result.errors))
         return EXIT_DOMAIN
@@ -176,7 +196,7 @@ def _read_hints(path: str) -> dict:
 
 
 def cmd_render(args) -> int:
-    result = parse_model(_read(args.input))
+    result = _load(args.input)
     if result.model is None:
         _error(render_diagnostics(result.errors))
         return EXIT_DOMAIN

@@ -87,7 +87,8 @@ def _trust(value, row, path):
 
 
 def _text(value, row, path):
-    return str(value)
+    # a collection as _shown writes it, so that a set's text is the same under every hash seed
+    return _shown(value) if isinstance(value, (list, dict, set, frozenset)) else str(value)
 
 
 def _scalar(value, row, path):
@@ -97,7 +98,7 @@ def _scalar(value, row, path):
 
 
 def _texts(value, row, path):
-    return [str(v) for v in _shaped(value, list, path)]
+    return [_text(v, row, path) for v in _shaped(value, list, path)]
 
 
 def _records(value, row, path):

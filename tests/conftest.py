@@ -30,3 +30,23 @@ def collector(request):
     gc.enable() if request.param else gc.disable()
     yield request.param
     gc.enable() if was else gc.disable()
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Each test starts with ``hagent.cli``'s memo of the last parsed
+    document empty, so that no model is carried from one test to the next."""
+    from hagent import cli
+
+    cli._last = (None, None)
+
+
+@pytest.fixture
+def cli_parses(monkeypatch):
+    """The documents ``hagent.cli`` hands to ``parse_model``, in order."""
+    from hagent import cli
+
+    parsed = []
+    original = cli.parse_model
+    monkeypatch.setattr(cli, "parse_model", lambda data: parsed.append(data) or original(data))
+    return parsed

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hagent.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from hagent.xmlio import export_extension_schema, parse_model, paused_gc, serialize_model
 
 from conftest import FIXTURES, bench_gen
+from test_golden import _run
 
 FIXTURE = str(FIXTURES / "bug-triage.bpmn")
 BROKEN = str(FIXTURES / "broken-no-manager.bpmn")
@@ -546,11 +548,12 @@ def _cyclic_garbage(run) -> int:
 @pytest.mark.parametrize(
     "name, xml, scenario", _ACYCLIC_MODELS, ids=[name for name, _, _ in _ACYCLIC_MODELS]
 )
-def test_commands_leave_no_cyclic_garbage(name, xml, scenario, tmp_path, capsys):
+def test_commands_leave_no_cyclic_garbage(name, xml, scenario, tmp_path, capsys, cli_parses):
     # what makes it safe to pause the collector while a command runs: all
     # its garbage goes by reference counting, the model included
-    bpmn, scn = tmp_path / "model.bpmn", tmp_path / "model.scn.yaml"
+    bpmn, other, scn = tmp_path / "model.bpmn", tmp_path / "other.bpmn", tmp_path / "model.scn.yaml"
     bpmn.write_bytes(xml)
+    other.write_bytes(xml + b"\n")  # the same model in other bytes
     scn.write_bytes(scenario)
 
     def roundtrip():
@@ -558,14 +561,113 @@ def test_commands_leave_no_cyclic_garbage(name, xml, scenario, tmp_path, capsys)
         if parsed.model is not None:
             serialize_model(parsed.model)
 
-    operations = {
-        "validate": lambda: main(["validate", str(bpmn)]),
-        "simulate": lambda: main(["simulate", str(bpmn), "--scenario", str(scn),
-                                  "--trace", str(tmp_path / "out.trace")]),
-        "render": lambda: main(["render", str(bpmn), "-o", str(tmp_path / "out.svg")]),
-        "roundtrip": roundtrip,
-    }
+    def commands(path):
+        return {
+            "validate": lambda: main(["validate", str(path)]),
+            "simulate": lambda: main(["simulate", str(path), "--scenario", str(scn),
+                                      "--trace", str(tmp_path / "out.trace")]),
+            "render": lambda: main(["render", str(path), "-o", str(tmp_path / "out.svg")]),
+        }
+
+    operations = {**commands(bpmn), "roundtrip": roundtrip}
     for run in operations.values():  # a first call sets up what is built lazily
         run()
+    # each command after the first reuses the model of the one before
     left = {op: _cyclic_garbage(run) for op, run in operations.items()}
     assert left == dict.fromkeys(operations, 0)
+    # the documents alternate, so each command parses and drops the model before
+    cli_parses.clear()
+    fresh = {}
+    for op, path in zip(("validate", "simulate", "render", "validate"), (other, bpmn, other, bpmn)):
+        fresh[f"{op} {path.name}"] = _cyclic_garbage(commands(path)[op])
+    assert fresh == dict.fromkeys(fresh, 0)
+    assert len(cli_parses) == len(fresh)
+
+
+# -- the model of the last document parsed, reused ------------------------------
+
+
+def test_a_file_rewritten_with_its_old_size_and_mtime_is_parsed_again(tmp_path):
+    text = Path(FIXTURE).read_bytes()
+    blank = b' trustScore="70"'
+    rewritten = text.replace(blank, b" " * len(blank), 1)
+    assert len(rewritten) == len(text) and rewritten != text
+    path = tmp_path / "model.bpmn"
+    path.write_bytes(rewritten)
+    expected = _run(["validate", str(path)], None)
+    assert b"W-NO-TRUST" in expected[1]
+    cli._last = (None, None)
+    path.write_bytes(text)
+    assert _run(["validate", str(path)], None) == (EXIT_OK, b"", b"", None)
+    before = path.stat()
+    path.write_bytes(rewritten)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert _run(["validate", str(path)], None) == expected
+
+
+@pytest.mark.parametrize(
+    "document",
+    [b"<definitions", next(xml for name, xml, _ in _generated_models() if name.endswith("at-parse"))],
+    ids=["malformed", "duplicate-id"],
+)
+def test_a_document_that_fails_at_parse_is_reused(document, tmp_path, cli_parses):
+    path, out = tmp_path / "model.bpmn", tmp_path / "out.svg"
+    path.write_bytes(document)
+    commands = {
+        "simulate": ["simulate", str(path), "--scenario", SCENARIO],
+        "render": ["render", str(path), "-o", str(out)],
+    }
+    cold = {}
+    for command, argv in commands.items():
+        cli._last = (None, None)
+        cold[command] = _run(argv, out)
+        assert cold[command][0] == EXIT_DOMAIN and cold[command][2].startswith(b"E-")
+    cli._last = (None, None)
+    cli_parses.clear()
+    assert _run(["validate", str(path)], None)[0] == EXIT_DOMAIN
+    assert {command: _run(argv, out) for command, argv in commands.items()} == cold
+    assert cli_parses == [document]
+
+
+def test_threads_get_their_own_files_models(tmp_path, capsys):
+    # one file passes validate --strict, the other has a warning; each
+    # renders its own picture.  Two threads a file, more than the cores,
+    # switching often.
+    blank = b' trustScore="70"'
+    warned = (FIXTURES / "delegation.bpmn").read_bytes().replace(blank, b" " * len(blank), 1)
+    files = {"plain": Path(FIXTURE).read_bytes(), "warned": warned}
+    expected = {}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.bpmn"
+        path.write_bytes(data)
+        svg = tmp_path / f"{name}.svg"
+        cli._last = (None, None)
+        codes = (main(["validate", "--strict", str(path)]), main(["render", str(path), "-o", str(svg)]))
+        expected[name] = (codes, svg.read_bytes())
+    assert expected["plain"][0] == (EXIT_OK, EXIT_OK)
+    assert expected["warned"][0] == (EXIT_DOMAIN, EXIT_OK)
+    assert expected["plain"][1] != expected["warned"][1]
+    clients = [(name, i) for name in files for i in range(2)]
+    got = {client: [] for client in clients}
+
+    def client(name, i):
+        path, svg = str(tmp_path / f"{name}.bpmn"), tmp_path / f"{name}-{i}.svg"
+        for _ in range(50):
+            codes = (main(["validate", "--strict", path]), main(["render", path, "-o", str(svg)]))
+            got[name, i].append((codes, svg.read_bytes()))
+
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=c) for c in clients]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+    assert got == {(name, i): [expected[name]] * 50 for name, i in clients}

@@ -71,20 +71,22 @@ def _short(data):
     return "-" if data is None else hashlib.sha256(data).hexdigest()[:16]
 
 
-def listing(workload, work: Path):
+def listing(workload, work: Path, order=("validate", "simulate", "render")):
     """The workload's lines of the listing: model, command, stream and the
-    exit code or a sha256 prefix of the bytes, tab-separated."""
+    exit code or a sha256 prefix of the bytes, tab-separated; each model's
+    commands run in ``order``."""
     lines = []
     bpmn, scn, out = work / "model.bpmn", work / "model.scn.yaml", work / "out"
     for model_id, xml, scenario in _cases(workload):
         bpmn.write_bytes(xml)
         scn.write_bytes(scenario)
-        for command, argv in (
-            ("validate", ["validate", str(bpmn)]),
-            ("simulate", ["simulate", str(bpmn), "--scenario", str(scn), "--trace", str(out)]),
-            ("render", ["render", str(bpmn), "-o", str(out)]),
-        ):
-            code, stdout, stderr, payload = _run(argv, out if command != "validate" else None)
+        commands = {
+            "validate": ["validate", str(bpmn)],
+            "simulate": ["simulate", str(bpmn), "--scenario", str(scn), "--trace", str(out)],
+            "render": ["render", str(bpmn), "-o", str(out)],
+        }
+        for command in order:
+            code, stdout, stderr, payload = _run(commands[command], out if command != "validate" else None)
             lines.append(f"{model_id}\t{command}\texit\t{code}")
             lines.append(f"{model_id}\t{command}\tstdout\t{_short(stdout)}")
             lines.append(f"{model_id}\t{command}\tstderr\t{_short(stderr)}")
@@ -127,6 +129,22 @@ def test_outputs_keep_their_digests(workload, tmp_path):
             value = got.split("\t")[-1]
             pytest.fail(f"{model} {command} {stream} differs: {value} where {recorded} was recorded")
     pytest.fail(f"{len(lines)} outputs where {len(expected)} were recorded")
+
+
+def _keyed(lines):
+    """(model, command, stream) -> the recorded value."""
+    return {tuple(line.split("\t")[:3]): line.split("\t")[3] for line in lines}
+
+
+@pytest.mark.parametrize("workload", list(DIGESTS))
+def test_outputs_do_not_depend_on_the_order_of_commands(workload, tmp_path):
+    # render first, so that simulate and validate reuse the model render
+    # parsed, where the listing's order has validate parse it
+    got = _keyed(listing(workload, tmp_path, order=("render", "simulate", "validate")))
+    expected = _keyed(_recorded()[workload])
+    assert sorted(got) == sorted(expected)
+    for key, want in expected.items():
+        assert got[key] == want, f"{' '.join(key)} differs: {got[key]} where {want} was recorded"
 
 
 if __name__ == "__main__":

@@ -82,22 +82,49 @@ def post_dominator_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["validate"],
-        ["simulate", "--scenario", "{scn}", "--trace", "{out}"],
-        ["render", "-o", "{out}"],
-    ],
-    ids=["validate", "simulate", "render"],
-)
-def test_each_command_analyzes_the_pool_once(argv, tmp_path, post_dominator_calls, capsys):
+_COMMANDS = {
+    "validate": ["validate"],
+    "simulate": ["simulate", "--scenario", "{scn}", "--trace", "{out}"],
+    "render": ["render", "-o", "{out}"],
+}
+
+
+def _commands(tmp_path, capsys):
+    """A runner of each command on the two-region chain, written to a file."""
     bpmn, scn, out = tmp_path / "m.bpmn", tmp_path / "m.scn.yaml", tmp_path / "out"
     bpmn.write_bytes(serialize_model(two_region_chain()))
     scn.write_text(SCENARIO)
-    args = [argv[0], str(bpmn)] + [a.format(scn=scn, out=out) for a in argv[1:]]
-    assert main(args) == EXIT_OK, capsys.readouterr()
+
+    def run(command):
+        argv = _COMMANDS[command]
+        args = [argv[0], str(bpmn)] + [a.format(scn=scn, out=out) for a in argv[1:]]
+        assert main(args) == EXIT_OK, capsys.readouterr()
+
+    return run
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_each_command_analyzes_the_pool_once(command, tmp_path, post_dominator_calls, capsys):
+    _commands(tmp_path, capsys)(command)
     assert post_dominator_calls == ["pool-1"]
+
+
+@pytest.mark.parametrize(
+    "first, then",
+    [(a, b) for a in _COMMANDS for b in _COMMANDS if a != b],
+)
+def test_a_second_command_on_the_same_bytes_reuses_the_model(
+    first, then, tmp_path, post_dominator_calls, cli_parses, capsys
+):
+    # the model cli parsed for the first command comes back for the second,
+    # with its analyses: no parse and no post-dominator analysis
+    run = _commands(tmp_path, capsys)
+    run(first)
+    assert (len(cli_parses), post_dominator_calls) == (1, ["pool-1"])
+    cli_parses.clear()
+    post_dominator_calls.clear()
+    run(then)
+    assert (cli_parses, post_dominator_calls) == ([], [])
 
 
 def test_analysis_is_memoized_per_model(post_dominator_calls):

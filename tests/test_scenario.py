@@ -117,6 +117,10 @@ def test_scalar_resolution_is_safe_loads(text, place):
         # the old loader took a set as its text, in hash order
         with pytest.raises(ValueError, match=r"^tasks\.t\.vote must be a scalar, got \{'a', 'b'\}$"):
             scenario.load_scenario(f"tasks:\n  t:\n    vote: {text}\n")
+    elif text.startswith("!!set"):
+        # a set's text lists its items sorted, where the old loader's followed the hash seed
+        policy = scenario.load_scenario(f"tasks:\n  t:\n    outputs:\n      - {{label: {text}}}\n")
+        assert policy.per_task["t"].outputs[0].label == "{'a', 'b'}"
     elif place == "vote":
         _agree(f"tasks:\n  t:\n    vote: {text}\n")
     else:
@@ -365,6 +369,64 @@ def test_set_messages_do_not_follow_the_hash_seed(tmp_path):
         "pick": {b"hagent: bad scenario file: lanes.l.managerPick must be a scalar, got {'a', 'b', 'c'}\n"},
         "nested": {b"hagent: bad scenario file: seed must be an integer, got [{'a', 'b', 'c'}]\n"},
     }
+
+
+def test_set_texts_do_not_follow_the_hash_seed(tmp_path):
+    # a set where the schema reads text is written with its items sorted,
+    # so the trace that shows it is the same under any hash seed
+    output = '{label: bug-report, payload: "Crash when saving a project"}'
+    assert output in FIXTURE_SCENARIO
+    path = tmp_path / "set.scn.yaml"
+    path.write_text(
+        FIXTURE_SCENARIO.replace(output, "{label: !!set {x, y, z, w}, payload: [!!set {p, q, r, s}]}"),
+        encoding="utf-8",
+    )
+    src = str(Path(scenario.__file__).resolve().parents[1])
+    traces = set()
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from hagent.cli import main; sys.exit(main(sys.argv[1:]))",
+             "simulate", str(FIXTURES / "bug-triage.bpmn"), "--scenario", str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        traces.add(done.stdout)
+    assert len(traces) == 1
+    assert "\tlabel={'w', 'x', 'y', 'z'} " in traces.pop().decode("utf-8")
+    behavior = scenario.load_scenario(path.read_text(encoding="utf-8")).per_task["task-report-bug"]
+    assert behavior.outputs[0].payload == "[{'p', 'q', 'r', 's'}]"
+    verdicts = scenario.load_scenario("tasks:\n  t:\n    reflectionVerdicts: [!!set {b, a}, [c, !!set {e, d}]]\n")
+    assert verdicts.per_task["t"].reflection_verdicts == ["{'a', 'b'}", "['c', {'d', 'e'}]"]
+
+
+def _values(value, outer=()):
+    """``value`` and every value nested in it; a collection met inside
+    itself, through an alias, is not walked again."""
+    if id(value) in outer:
+        return
+    yield value
+    if isinstance(value, (list, dict)):
+        outer += (id(value),)
+        for item in value if isinstance(value, list) else [*value, *value.values()]:
+            yield from _values(item, outer)
+
+
+def test_a_text_that_holds_no_set_reads_as_str_of_it():
+    # only a set's text changed when sets were written in sorted order
+    texts = [*(text for text, _ in _YAML_CORPUS.values()), *_drawn(mutated_scenarios(), 300)]
+    checked = 0
+    for text in texts:
+        try:
+            document = yaml.safe_load(text)
+        except (yaml.YAMLError, ValueError):  # a timestamp out of range, say
+            continue
+        for value in _values(document):
+            if not any(isinstance(v, (set, frozenset)) for v in _values(value)):
+                assert scenario._text(value, None, "") == str(value)
+                checked += 1
+    assert checked > 1000
 
 
 def _schema_keys(record, prefix=""):
